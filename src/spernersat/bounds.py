@@ -102,18 +102,23 @@ def layer_lower_bound(i: int, k: int) -> float:
     return 2.0 ** (2.0 * i * (k - i - 1) / (k - 1))
 
 
+def _sum_lower_log2(k: int) -> float:
+    """log2 of sum_lower_bound(k), summed in log2 space so it never overflows."""
+    terms = [1.0, 1.0 + math.log2(k - 1.0)]
+    terms += [1.0 + 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, math.ceil((k - 1) / 2))]
+    if k % 2 == 1:
+        terms.append((k - 1) / 2.0)
+    peak = max(terms)
+    return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
+
+
 def sum_lower_bound(k: int) -> float:
     """Sum of the per-layer minima: 2 for the end layers, 2(k-1) for the
     layers next to them, the doubled middle terms, and the center layer
     when k is odd."""
     if k < 7:
         raise ValueError("k must be >= 7")
-    total = 2.0 + 2.0 * (k - 1)
-    for i in range(2, math.ceil((k - 1) / 2)):
-        total += 2.0 * 2.0 ** (2.0 * i * (k - i - 1) / (k - 1))
-    if k % 2 == 1:
-        total += 2.0 ** ((k - 1) / 2.0)
-    return total
+    return 2.0 ** _sum_lower_log2(k)
 
 
 def _erf_bracket_parts(k: int) -> tuple[float, float]:
@@ -229,12 +234,6 @@ class BoundReport:
         }
 
 
-def _log2_sum(terms: list[float]) -> float:
-    # log2 of a sum given the log2 of each term
-    peak = max(terms)
-    return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
-
-
 def upper_bound_report(k: int) -> BoundReport:
     """Assemble the full report for one k (k >= 2); the lower-bound side is
     populated from k = 7 on."""
@@ -253,12 +252,7 @@ def upper_bound_report(k: int) -> BoundReport:
             claimed_lower_log2=None, margin_166=None, margin_497=None,
         )
     layer_bounds = {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
-    log_terms = [1.0, 1.0 + math.log2(k - 1.0)]
-    for i in range(2, math.ceil((k - 1) / 2)):
-        log_terms.append(1.0 + 2.0 * i * (k - i - 1) / (k - 1))
-    if k % 2 == 1:
-        log_terms.append((k - 1) / 2.0)
-    sum_log2 = _log2_sum(log_terms)
+    sum_log2 = _sum_lower_log2(k)
     erf_log2 = erf_lower_bound_log2(k)
     claimed_166 = k / 2.0 + 0.5 * math.log2(k) - 1.66
     claimed = k / 2.0 + 0.5 * math.log2(k)
@@ -266,7 +260,7 @@ def upper_bound_report(k: int) -> BoundReport:
         k=k, baseline_lower_log2=baseline, j=j, s=s, upper_log2=upper_log2,
         eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=margin_upper,
         layer_bounds_log2=layer_bounds,
-        sum_lower=sum_lower_bound(k) if sum_log2 < 1020 else math.inf,
+        sum_lower=2.0 ** sum_log2 if sum_log2 < 1020 else math.inf,
         sum_lower_log2=sum_log2,
         erf_lower_log2=erf_log2,
         claimed_lower_log2_166=claimed_166,

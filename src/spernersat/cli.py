@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
-from .family import Family, FamilyFormatError, atoms_of_mask, parse_family, serialize_family
+from .constructions import MAX_MEMBERS, bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
+from .family import MAX_ATOMS, Family, FamilyFormatError, Member, parse_family, serialize_family
 from .saturation import (
     brute_force_saturated,
     find_atoms,
@@ -63,9 +63,7 @@ def cmd_verify(args) -> int:
                     f"({lr.small} small, {lr.large} large) "
                     f"saturated={'yes' if lr.saturated else 'no'}")
             if lr.witness_mask is not None:
-                hole = "empty" if lr.witness_mask == 0 else " ".join(
-                    str(a) for a in atoms_of_mask(lr.witness_mask))
-                line += f" witness=[{hole}]"
+                line += f" witness=[{Member(lr.witness_mask, False)}]"
             print(line)
         for reason in report.reasons:
             print(f"  reason: {reason.describe()}")
@@ -86,7 +84,11 @@ def cmd_construct(args) -> int:
     else:
         family, plan = bootstrapped(args.k)
         if family is None:
-            print(f"degree {plan.k} needs {plan.atoms_needed} atoms (limit 62); "
+            if plan.atoms_needed > MAX_ATOMS:
+                need = f"{plan.atoms_needed} atoms (limit {MAX_ATOMS})"
+            else:
+                need = f"{plan.predicted_size} members (limit {MAX_MEMBERS})"
+            print(f"degree {plan.k} needs {need}; "
                   f"plan: {' * '.join(plan.factors)}, predicted size {plan.predicted_size}",
                   file=sys.stderr)
             return EXIT_FALSE
@@ -114,6 +116,9 @@ def cmd_reduce(args) -> int:
     if args.trace:
         _write_text(args.trace, trace.describe() + "\n")
     return EXIT_OK
+
+
+_BOUNDS_HEADER = "k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\tmargin_497"
 
 
 def _bounds_row(report) -> str:
@@ -155,7 +160,7 @@ def cmd_bounds(args) -> int:
             print(json.dumps({"schema_version": 1,
                               "rows": [r.to_json_dict() for r in reports]}, indent=2))
         else:
-            print("k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\tmargin_497")
+            print(_BOUNDS_HEADER)
             for report in reports:
                 print(_bounds_row(report))
         return EXIT_OK
@@ -163,7 +168,7 @@ def cmd_bounds(args) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
-        print("k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\tmargin_497")
+        print(_BOUNDS_HEADER)
         print(_bounds_row(report))
     return EXIT_OK
 

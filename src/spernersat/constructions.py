@@ -23,9 +23,13 @@ from .family import (
     Family,
     Member,
     complement_member,
+    first_contained_pair,
     mask_of_atoms,
 )
 from .saturation import is_saturated_antichain
+
+# bootstrapped() refuses, from the plan alone, to build more members than this.
+MAX_MEMBERS = 1 << 21
 
 
 def trivial_construction(k: int) -> Family:
@@ -120,12 +124,13 @@ def bootstrapped(k: int) -> tuple[Family | None, CompositionPlan]:
     """Best available construction for degree k: fold the composition over
     j copies of the 56-member system and s copies of the 4-member system.
     For k < 7 this reproduces the power-set construction exactly.  When the
-    composed universe would exceed 62 atoms only the plan is returned."""
+    composed universe would exceed 62 atoms, or the family MAX_MEMBERS
+    members, only the plan is returned."""
     if k < 2:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    if plan.atoms_needed > 62:
+    if plan.atoms_needed > 62 or plan.predicted_size > MAX_MEMBERS:
         return None, plan
     family = trivial_construction(2)
     for _ in range(j):
@@ -180,15 +185,6 @@ def _lowest_atom(member: Member) -> int:
     return (member.atom_mask & -member.atom_mask).bit_length()
 
 
-def _first_contained_pair(ordered: list[Member]) -> tuple[Member, Member] | None:
-    # canonical order: a proper subset always precedes its superset
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a.is_proper_subset(b):
-                return a, b
-    return None
-
-
 def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     """Rewrite a saturated antichain until every small member is a singleton.
 
@@ -238,7 +234,7 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
                         log("strip", before=mem, after=stripped, atom=atom)
             reassigned = False
             while True:
-                pair = _first_contained_pair(sorted(working, key=Member.key))
+                pair = first_contained_pair(sorted(working, key=Member.key))
                 if pair is None:
                     break
                 inner, outer = pair

@@ -165,7 +165,6 @@ def strict_containment_matrix(members) -> np.ndarray:
     count = len(members)
     masks = np.array([mem.atom_mask for mem in members], dtype=np.uint64)
     flags = np.array([mem.has_H for mem in members], dtype=bool)
-    masks = masks.reshape(count)
     sub = (masks[:, None] & ~masks[None, :]) == 0
     sub &= flags[None, :] | ~flags[:, None]
     if count:
@@ -173,15 +172,19 @@ def strict_containment_matrix(members) -> np.ndarray:
     return sub
 
 
+def first_contained_pair(members) -> tuple[Member, Member] | None:
+    """First (a, b) with a a proper subset of b, scanning a sequence in
+    canonical order, where containment can only point forward."""
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a.is_proper_subset(b):
+                return a, b
+    return None
+
+
 def is_antichain(f: Family) -> bool:
     """No member properly contains another."""
-    mems = f.members
-    # canonical order: containment can only point forward
-    for i, a in enumerate(mems):
-        for b in mems[i + 1:]:
-            if a.is_proper_subset(b):
-                return False
-    return True
+    return first_contained_pair(f.members) is None
 
 
 def member_depths(members) -> np.ndarray:
@@ -234,14 +237,9 @@ def is_layered(layers, *, small_only: bool = False) -> bool:
     return True
 
 
-def parse_family(text) -> Family:
-    """Parse the family text format.
-
-    Lines whose first non-blank character is '#' are comments; blank lines
-    are skipped.  The first significant line must be 'universe <m>'.  Every
-    other significant line is one member: the word 'empty', or atom indices
-    (1..m) plus at most one 'H' token, whitespace-separated.
-    """
+def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
+    """The one tokenizer of the text format: (m, members in file order).
+    Without allow_H an 'H' token is malformed."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     m = None
@@ -270,7 +268,7 @@ def parse_family(text) -> Family:
             mask = 0
             has_h = False
             for tok in tokens:
-                if tok == "H":
+                if tok == "H" and allow_H:
                     if has_h:
                         raise FamilyFormatError("duplicate 'H' token", lineno)
                     has_h = True
@@ -292,6 +290,18 @@ def parse_family(text) -> Family:
         members.append(member)
     if m is None:
         raise FamilyFormatError("missing 'universe <m>' header", max(1, text.count("\n") + 1))
+    return m, members
+
+
+def parse_family(text) -> Family:
+    """Parse the family text format.
+
+    Lines whose first non-blank character is '#' are comments; blank lines
+    are skipped.  The first significant line must be 'universe <m>'.  Every
+    other significant line is one member: the word 'empty', or atom indices
+    (1..m) plus at most one 'H' token, whitespace-separated.
+    """
+    m, members = _parse_members(text, allow_H=True)
     return Family(m, tuple(members))
 
 

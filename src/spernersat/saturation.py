@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import (
+    MAX_ATOMS,
     Family,
-    FamilyFormatError,
     LayerDecomposition,
     Member,
+    _parse_members,
     atoms_of_mask,
     canonical_decomposition,
     is_antichain,
@@ -35,19 +36,13 @@ SCAN_MAX_ATOMS = 24
 ORACLE_MAX_GROUND = 24
 
 
-def _subset_closure(seed: np.ndarray, m: int) -> np.ndarray:
-    """In place: seed[T] true iff some originally-true S is a subset of T."""
+def _closure(seed: np.ndarray, m: int, upward: bool) -> np.ndarray:
+    """In place: seed[T] true iff some originally-true S is a subset of T
+    (upward) or a superset of T (downward)."""
+    lo, hi = (0, 1) if upward else (1, 0)
     for b in range(m):
         view = seed.reshape(-1, 2, 1 << b)
-        view[:, 1, :] |= view[:, 0, :]
-    return seed
-
-
-def _superset_closure(seed: np.ndarray, m: int) -> np.ndarray:
-    """In place: seed[T] true iff some originally-true S is a superset of T."""
-    for b in range(m):
-        view = seed.reshape(-1, 2, 1 << b)
-        view[:, 0, :] |= view[:, 1, :]
+        view[:, hi, :] |= view[:, lo, :]
     return seed
 
 
@@ -69,12 +64,12 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     if small_masks:
         up = np.zeros(size, dtype=bool)
         up[small_masks] = True
-        covered |= _subset_closure(up, layer.m)
+        covered |= _closure(up, layer.m, upward=True)
     large_masks = [mem.atom_mask for mem in layer.larges()]
     if large_masks:
         down = np.zeros(size, dtype=bool)
         down[large_masks] = True
-        covered |= _superset_closure(down, layer.m)
+        covered |= _closure(down, layer.m, upward=False)
     if covered.all():
         return True, None
     holes = np.nonzero(~covered)[0]
@@ -106,8 +101,7 @@ class Reason:
     def describe(self) -> str:
         if self.code == WRONG_LAYER_COUNT:
             return self.code
-        witness = "empty" if self.witness_mask == 0 else " ".join(
-            str(a) for a in atoms_of_mask(self.witness_mask or 0))
+        witness = Member(self.witness_mask or 0, False)
         return f"{self.code} layer={self.layer} witness=[{witness}]"
 
 
@@ -165,6 +159,8 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         raise ValueError("k must be >= 1")
     if not f.members:
         raise ValueError("family is empty")
+    if f.m > SCAN_MAX_ATOMS:
+        raise ValueError(f"universe of size {f.m} is too large for the exhaustive scan")
     decomposition = canonical_decomposition(f)
     layer_reports = []
     reasons = []
@@ -270,8 +266,8 @@ class ConcreteFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= 62:
-            raise ValueError(f"ground set size must be in [0, 62], got {self.n}")
+        if not 0 <= self.n <= MAX_ATOMS:
+            raise ValueError(f"ground set size must be in [0, {MAX_ATOMS}], got {self.n}")
         ordered = tuple(sorted(self.members, key=lambda t: (t.bit_count(), t)))
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate member")
@@ -303,52 +299,10 @@ def instantiate(f: Family, h: int) -> ConcreteFamily:
 
 
 def parse_concrete(text) -> ConcreteFamily:
-    """Concrete family text: 'universe <n>' then element lists, 'empty' for
-    the empty set.  No 'H' token exists at this level."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    n = None
-    members = []
-    seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "universe":
-                raise FamilyFormatError("expected 'universe <n>' header", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise FamilyFormatError(f"bad ground set size {tokens[1]!r}", lineno) from None
-            if not 0 <= n <= 62:
-                raise FamilyFormatError("ground set size must be in [0, 62]", lineno)
-            continue
-        if tokens == ["empty"]:
-            mask = 0
-        elif "empty" in tokens:
-            raise FamilyFormatError("'empty' cannot be combined with other tokens", lineno)
-        else:
-            mask = 0
-            for tok in tokens:
-                try:
-                    elem = int(tok)
-                except ValueError:
-                    raise FamilyFormatError(f"malformed token {tok!r}", lineno) from None
-                if not 1 <= elem <= n:
-                    raise FamilyFormatError(f"element {elem} outside ground set of size {n}", lineno)
-                bit = 1 << (elem - 1)
-                if mask & bit:
-                    raise FamilyFormatError(f"duplicate element {elem}", lineno)
-                mask |= bit
-        if mask in seen:
-            raise FamilyFormatError("duplicate member", lineno)
-        seen.add(mask)
-        members.append(mask)
-    if n is None:
-        raise FamilyFormatError("missing 'universe <n>' header", max(1, text.count("\n") + 1))
-    return ConcreteFamily(n, tuple(members))
+    """Concrete family text: the family format without 'H' tokens, its
+    universe read as the ground set {1..n}."""
+    n, members = _parse_members(text, allow_H=False)
+    return ConcreteFamily(n, tuple(mem.atom_mask for mem in members))
 
 
 @dataclass(frozen=True)
@@ -373,30 +327,17 @@ def find_atoms(c: ConcreteFamily) -> AtomPartition:
     return AtomPartition(c.n, tuple(classes))
 
 
-def _max_closure_subset(seed: np.ndarray, n: int) -> np.ndarray:
+def _oracle_strict_max(table: np.ndarray, n: int, from_below: bool) -> np.ndarray:
+    """Closes table in place to the max over subsets (from_below) or
+    supersets of each T, and returns the max over proper ones (0 if none).
+    Kept apart from the verifier's _closure so the oracle stays independent."""
+    strict = np.zeros_like(table)
+    lo, hi = (0, 1) if from_below else (1, 0)
     for b in range(n):
-        view = seed.reshape(-1, 2, 1 << b)
-        np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
-    return seed
-
-
-def _max_closure_superset(seed: np.ndarray, n: int) -> np.ndarray:
-    for b in range(n):
-        view = seed.reshape(-1, 2, 1 << b)
-        np.maximum(view[:, 0, :], view[:, 1, :], out=view[:, 0, :])
-    return seed
-
-
-def _strict_from_inclusive(incl: np.ndarray, n: int, toward_subsets: bool) -> np.ndarray:
-    """strict[T] = max of incl over proper subsets (or supersets) of T."""
-    strict = np.zeros_like(incl)
-    for b in range(n):
-        view_s = strict.reshape(-1, 2, 1 << b)
-        view_i = incl.reshape(-1, 2, 1 << b)
-        if toward_subsets:
-            np.maximum(view_s[:, 1, :], view_i[:, 0, :], out=view_s[:, 1, :])
-        else:
-            np.maximum(view_s[:, 0, :], view_i[:, 1, :], out=view_s[:, 0, :])
+        incl = table.reshape(-1, 2, 1 << b)
+        out = strict.reshape(-1, 2, 1 << b)
+        np.maximum(out[:, hi, :], incl[:, lo, :], out=out[:, hi, :])
+        np.maximum(incl[:, hi, :], incl[:, lo, :], out=incl[:, hi, :])
     return strict
 
 
@@ -438,11 +379,11 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
     below_incl = np.zeros(size, dtype=np.int16)
     for mask, d in zip(mems, down):
         below_incl[mask] = d
-    below_strict = _strict_from_inclusive(_max_closure_subset(below_incl, c.n), c.n, toward_subsets=True)
+    below_strict = _oracle_strict_max(below_incl, c.n, from_below=True)
     above_incl = np.zeros(size, dtype=np.int16)
     for mask, u in zip(mems, up):
         above_incl[mask] = u
-    above_strict = _strict_from_inclusive(_max_closure_superset(above_incl, c.n), c.n, toward_subsets=False)
+    above_strict = _oracle_strict_max(above_incl, c.n, from_below=False)
     closes = below_strict.astype(np.int32) + above_strict.astype(np.int32) >= k
     closes[np.array(mems, dtype=np.int64)] = True
     return bool(closes.all())

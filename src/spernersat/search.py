@@ -82,33 +82,27 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def _permuted_keys(members, perms):
+    """For each atom permutation, the sorted canonical keys of the relabeled
+    members."""
+    for perm in perms:
+        yield tuple(sorted((mem.has_H, mem.atom_count, _permute_mask(mem.atom_mask, perm))
+                           for mem in members))
+
+
 def canonical_form(f: Family) -> Family:
     """Least relabeling of the atoms: the member list whose canonical keys
     are lexicographically smallest over all m! atom permutations.  Two
     families are isomorphic iff their canonical forms are equal."""
     if f.m > CANONICAL_MAX_ATOMS:
         raise ValueError(f"canonical form supports at most {CANONICAL_MAX_ATOMS} atoms")
-    best = None
-    for perm in _atom_perms(f.m):
-        keys = tuple(sorted((mem.has_H, mem.atom_count, _permute_mask(mem.atom_mask, perm))
-                            for mem in f.members))
-        if best is None or keys < best:
-            best = keys
-    return Family(f.m, tuple(Member(mask, has_h) for has_h, _, mask in best or ()))
-
-
-def _keys_of(members: list[Member]) -> tuple:
-    return tuple(mem.key() for mem in members)
+    best = min(_permuted_keys(f.members, _atom_perms(f.m)))
+    return Family(f.m, tuple(Member(mask, has_h) for has_h, _, mask in best))
 
 
 def _is_orbit_least(members: list[Member], perms) -> bool:
-    base = _keys_of(members)
-    for perm in perms:
-        mapped = tuple(sorted((mem.has_H, mem.atom_count, _permute_mask(mem.atom_mask, perm))
-                              for mem in members))
-        if mapped < base:
-            return False
-    return True
+    base = tuple(mem.key() for mem in members)
+    return all(keys >= base for keys in _permuted_keys(members, perms))
 
 
 def _chain_fits(members: list[Member], k: int) -> bool:

@@ -50,6 +50,20 @@ def test_construct_trivial_and_bootstrap(tmp_path, capsys):
     assert "requires --k" in err
 
 
+def test_construct_bootstrap_refuses_beyond_member_cap(monkeypatch, capsys):
+    import spernersat.constructions as constructions_mod
+
+    def no_compose(f1, f2):
+        raise AssertionError("compose ran past the member cap")
+
+    monkeypatch.setattr(constructions_mod, "compose", no_compose)
+    code, out, err = run(capsys, "construct", "--kind", "bootstrap", "--k", "30")
+    assert code == 1
+    assert out == ""
+    assert "needs 275365888 members (limit 2097152)" in err
+    assert "atoms" not in err
+
+
 def test_construct_writes_stdout_without_out(capsys):
     code, out, _ = run(capsys, "construct", "--kind", "three")
     assert code == 0

@@ -194,6 +194,25 @@ def test_bootstrapped_plan_only_beyond_atom_cap():
         bootstrapped(1)
 
 
+def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
+    import spernersat.constructions as constructions_mod
+
+    class Composed(Exception):
+        pass
+
+    def no_compose(f1, f2):
+        raise Composed()
+
+    monkeypatch.setattr(constructions_mod, "compose", no_compose)
+    fam, plan = bootstrapped(23)
+    assert fam is None
+    assert plan.atoms_needed <= 62
+    assert plan.predicted_size == 2_458_624 > constructions_mod.MAX_MEMBERS
+    # k = 22 (1,229,312 members) is still under the cap, so it gets built
+    with pytest.raises(Composed):
+        bootstrapped(22)
+
+
 # ----------------------------------------------------------- reduction
 
 def test_reduce_identity_on_singleton_smalls():

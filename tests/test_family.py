@@ -17,6 +17,7 @@ from spernersat import (
     longest_chain_length,
     mask_of_atoms,
     member_depths,
+    parse_concrete,
     parse_family,
     serialize_family,
     seven56,
@@ -278,10 +279,23 @@ def test_parse_error_positions():
         ("universe 2\n1 bogus\n", 2, "malformed token"),
         ("universe 2\n1\n\n1\n", 4, "duplicate member"),
         ("# only comments\n", None, "missing 'universe"),
+        ("universe 2\n1 empty\n", 2, "'empty' cannot be combined"),
+        ("\n# lead\nuniverse -1\n", 3, "universe size must be"),
+        ("universe 1 2\n", 1, "expected 'universe"),
+        ("universe 3\n\n2 1\n# gap\n1 2\n", 5, "duplicate member"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(FamilyFormatError) as err:
             parse_family(text)
+        assert fragment in str(err.value), text
+        if line is not None:
+            assert err.value.line == line, text
+    # concrete files share the tokenizer: same fragment, same line
+    for text, line, fragment in cases:
+        if "H" in text:
+            continue
+        with pytest.raises(FamilyFormatError) as err:
+            parse_concrete(text)
         assert fragment in str(err.value), text
         if line is not None:
             assert err.value.line == line, text

@@ -125,6 +125,18 @@ def test_verify_rejects_empty_family_and_accepts_any_k():
     assert not verify_saturated_k_sperner(three_sperner(), 4).verdict
 
 
+def test_verify_refuses_large_universe_before_decomposing(monkeypatch):
+    import spernersat.saturation as saturation_mod
+
+    def no_decomposition(f):
+        raise AssertionError("decomposition ran before the size check")
+
+    monkeypatch.setattr(saturation_mod, "canonical_decomposition", no_decomposition)
+    big = Family(25, (Member(0, False), Member((1 << 25) - 1, True)))
+    with pytest.raises(ValueError, match="universe of size 25 is too large for the exhaustive scan"):
+        verify_saturated_k_sperner(big, 2)
+
+
 def test_verify_report_json_shape():
     d = verify_saturated_k_sperner(three_sperner(), 3).to_json_dict()
     assert d["schema_version"] == 1
