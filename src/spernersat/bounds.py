@@ -112,13 +112,18 @@ def _sum_lower_log2(k: int) -> float:
     return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
 
 
+def _linear(log2_value: float) -> float:
+    # 2^log2_value, or inf from 2^1020 on, near the top of the float range
+    return 2.0 ** log2_value if log2_value < 1020 else math.inf
+
+
 def sum_lower_bound(k: int) -> float:
     """Sum of the per-layer minima: 2 for the end layers, 2(k-1) for the
     layers next to them, the doubled middle terms, and the center layer
-    when k is odd."""
+    when k is odd.  inf from k = 2029 on, where the sum passes 2^1020."""
     if k < 7:
         raise ValueError("k must be >= 7")
-    return 2.0 ** _sum_lower_log2(k)
+    return _linear(_sum_lower_log2(k))
 
 
 def _erf_bracket_parts(k: int) -> tuple[float, float]:
@@ -186,8 +191,8 @@ def find_threshold(k_max: int) -> ThresholdScan:
 class BoundReport:
     """Every bound the package knows about one degree k.
 
-    Log-space fields are always finite; sum_lower may overflow to inf for
-    very large k and is accompanied by its log2.  Fields that require
+    Log-space fields are always finite; sum_lower is inf (null in JSON)
+    from k = 2029 on and is accompanied by its log2.  Fields that require
     k >= 7 are None below that.
     """
 
@@ -221,7 +226,7 @@ class BoundReport:
             "layer_bounds_log2": None if self.layer_bounds_log2 is None else {
                 str(i): v for i, v in sorted(self.layer_bounds_log2.items())
             },
-            "sum_lower": self.sum_lower,
+            "sum_lower": None if self.sum_lower == math.inf else self.sum_lower,
             "sum_lower_log2": self.sum_lower_log2,
             "erf_lower_log2": self.erf_lower_log2,
             "claimed_lower_log2_166": self.claimed_lower_log2_166,
@@ -260,7 +265,7 @@ def upper_bound_report(k: int) -> BoundReport:
         k=k, baseline_lower_log2=baseline, j=j, s=s, upper_log2=upper_log2,
         eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=margin_upper,
         layer_bounds_log2=layer_bounds,
-        sum_lower=2.0 ** sum_log2 if sum_log2 < 1020 else math.inf,
+        sum_lower=_linear(sum_log2),
         sum_lower_log2=sum_log2,
         erf_lower_log2=erf_log2,
         claimed_lower_log2_166=claimed_166,

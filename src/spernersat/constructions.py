@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .family import (
+    MAX_ATOMS,
     Family,
     Member,
     complement_member,
@@ -82,8 +83,8 @@ def compose(f1: Family, f2: Family) -> Family:
     with larges (their H blocks merge).  Degrees add as k1 + k2 - 2 and the
     size is |s1||s2| + |l1||l2|."""
     m = f1.m + f2.m
-    if m > 62:
-        raise ValueError(f"composed universe needs {m} atoms, limit is 62")
+    if m > MAX_ATOMS:
+        raise ValueError(f"composed universe needs {m} atoms, limit is {MAX_ATOMS}")
     shift = f1.m
     members = [
         Member(a.atom_mask | (b.atom_mask << shift), False)
@@ -124,13 +125,13 @@ def bootstrapped(k: int) -> tuple[Family | None, CompositionPlan]:
     """Best available construction for degree k: fold the composition over
     j copies of the 56-member system and s copies of the 4-member system.
     For k < 7 this reproduces the power-set construction exactly.  When the
-    composed universe would exceed 62 atoms, or the family MAX_MEMBERS
+    composed universe would exceed MAX_ATOMS atoms, or the family MAX_MEMBERS
     members, only the plan is returned."""
     if k < 2:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    if plan.atoms_needed > 62 or plan.predicted_size > MAX_MEMBERS:
+    if plan.atoms_needed > MAX_ATOMS or plan.predicted_size > MAX_MEMBERS:
         return None, plan
     family = trivial_construction(2)
     for _ in range(j):

@@ -159,19 +159,6 @@ def complement_family(f: Family) -> Family:
     return Family(f.m, tuple(complement_member(mem, f.m) for mem in f.members))
 
 
-def strict_containment_matrix(members) -> np.ndarray:
-    """Boolean matrix with [i, j] true iff members[i] is a proper subset of
-    members[j].  Members must be duplicate-free."""
-    count = len(members)
-    masks = np.array([mem.atom_mask for mem in members], dtype=np.uint64)
-    flags = np.array([mem.has_H for mem in members], dtype=bool)
-    sub = (masks[:, None] & ~masks[None, :]) == 0
-    sub &= flags[None, :] | ~flags[:, None]
-    if count:
-        np.fill_diagonal(sub, False)
-    return sub
-
-
 def first_contained_pair(members) -> tuple[Member, Member] | None:
     """First (a, b) with a a proper subset of b, scanning a sequence in
     canonical order, where containment can only point forward."""
@@ -189,12 +176,13 @@ def is_antichain(f: Family) -> bool:
 
 def member_depths(members) -> np.ndarray:
     """depth[i] = number of members on the longest chain ending at members[i].
-    Members must be sorted in canonical order."""
-    strict = strict_containment_matrix(members)
-    depth = np.zeros(len(members), dtype=np.int64)
-    for j in range(len(members)):
-        preds = strict[:, j]
-        depth[j] = 1 + (depth[preds].max() if preds.any() else 0)
+    Members must be duplicate-free and sorted in canonical order, so the
+    members properly inside members[j] are exactly the earlier ones whose
+    key (atom mask, with H as bit MAX_ATOMS) is a bit-subset of its key."""
+    keys = np.array([mem.atom_mask | (mem.has_H << MAX_ATOMS) for mem in members], dtype=np.int64)
+    depth = np.zeros(len(keys), dtype=np.int64)
+    for j in range(len(keys)):
+        depth[j] = 1 + depth[:j][(keys[:j] & ~keys[j]) == 0].max(initial=0)
     return depth
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .family import Family, Member, member_depths
-from .saturation import verify_saturated_k_sperner
+from .saturation import size_bounds_check, verify_saturated_k_sperner
 
 FOUND = "FOUND"
 NONE_WITHIN_BOUNDS = "NONE_WITHIN_BOUNDS"
@@ -112,13 +112,11 @@ def _chain_fits(members: list[Member], k: int) -> bool:
 
 
 def _layer1_shape_ok(report, k: int) -> bool:
-    if k < 3 or report.layer_count < 2:
+    # only asked after a true verdict, so the decomposition has k layers
+    if k < 3:
         return True
-    layer1 = report.decomposition.layers[1]
-    smalls = layer1.smalls()
-    return (all(mem.atom_count == 1 for mem in smalls)
-            and len(smalls) >= k - 2
-            and len(layer1.larges()) == 1)
+    d = size_bounds_check(report.decomposition, k)
+    return d.layer1_small_singletons and d.layer1_small_count_ok and d.layer1_single_large
 
 
 class _Budget(Exception):

@@ -226,6 +226,12 @@ def test_report_switches_to_log_space_when_sum_overflows():
     assert r.sum_lower_log2 < 2100  # still far below the trivial upper bound
 
 
+def test_sum_lower_bound_is_inf_where_the_report_is():
+    assert sum_lower_bound(2100) == math.inf
+    for k in range(7, 2101):
+        assert sum_lower_bound(k) == upper_bound_report(k).sum_lower, k
+
+
 def test_report_json_shape():
     d = upper_bound_report(12).to_json_dict()
     assert d["schema_version"] == 1

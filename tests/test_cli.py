@@ -144,6 +144,24 @@ def test_bounds_table_and_threshold(capsys):
     assert code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_bounds_json_has_no_infinity(capsys):
+    code, out, _ = run(capsys, "bounds", "--k", "2100", "--json")
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["sum_lower"] is None
+    assert data["sum_lower_log2"] > 1024
+
+    code, out, _ = run(capsys, "bounds", "--table", "2025..2040", "--json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert [r["k"] for r in rows] == list(range(2025, 2041))
+    assert [r["sum_lower"] is None for r in rows] == [k >= 2029 for k in range(2025, 2041)]
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_found_writes_family(tmp_path, capsys):

@@ -1,14 +1,20 @@
 """Member/Family model, text format, complements, chains, decomposition."""
 
 import random
+import tracemalloc
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spernersat import (
+    MAX_ATOMS,
     Family,
     FamilyFormatError,
     Member,
     atoms_of_mask,
+    bootstrapped,
     canonical_decomposition,
     complement_family,
     complement_member,
@@ -161,6 +167,39 @@ def test_member_depths_on_explicit_chain():
         (Member(0, False), Member(0b1, False), Member(0b11, False), Member(0b11, True)),
         key=Member.key))
     assert list(member_depths(members)) == [1, 2, 3, 4]
+
+
+# Masks over a few low atoms and the top ones, so that chains are common and
+# atom 62 (bit 61) sits right below the H bit of the packed keys.
+_BITS = (0, 1, 2, MAX_ATOMS - 2, MAX_ATOMS - 1)
+_members = st.builds(
+    lambda bits, has_h: Member(sum(1 << b for b in bits), has_h),
+    st.sets(st.sampled_from(_BITS)), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_members, max_size=24))
+def test_member_depths_match_longest_chain_definition(members):
+    f = Family(MAX_ATOMS, tuple(members))
+
+    @cache
+    def longest_ending_at(mem):
+        return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
+                       default=0)
+
+    assert member_depths(f.members).tolist() == [longest_ending_at(mem) for mem in f.members]
+
+
+def test_member_depths_memory_is_linear():
+    members = bootstrapped(13)[0].members
+    assert len(members) == 3136
+    tracemalloc.start()
+    try:
+        member_depths(members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_is_antichain_examples():

@@ -1,5 +1,6 @@
 """The two butterfly kernels against direct O(4^m) definitions, and the
-guard that keeps the brute-force oracle apart from the layer verifier."""
+guards on what the layer verifier reaches: nothing of the brute-force
+oracle, and no pair scan on its own layers."""
 
 import inspect
 import types
@@ -76,3 +77,10 @@ def test_oracle_shares_no_function_with_the_verifier():
     assert "spernersat.saturation._closure" in verifier
     assert "spernersat.family.member_depths" in verifier
     assert oracle.isdisjoint(verifier), oracle & verifier
+
+
+def test_verifier_does_not_reprove_its_layers_are_antichains():
+    verifier = _reachable(saturation.verify_saturated_k_sperner)
+    assert "spernersat.family.is_antichain" not in verifier
+    assert "spernersat.family.first_contained_pair" not in verifier
+    assert "spernersat.saturation._first_uncovered" in verifier
