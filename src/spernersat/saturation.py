@@ -60,8 +60,11 @@ def _first_uncovered(layer: Family) -> int | None:
         down = np.zeros(size, dtype=bool)
         down[large_masks] = True
         covered |= _closure(down, layer.m, upward=False)
-    holes = np.nonzero(~covered)[0]
-    return min((int(t) for t in holes), key=lambda t: (t.bit_count(), t), default=None)
+    holes = np.flatnonzero(~covered)
+    if not holes.size:
+        return None
+    # argmin keeps the first of the fewest-atom holes, and holes ascend
+    return int(holes[np.argmin(np.bitwise_count(holes))])
 
 
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
@@ -216,6 +219,15 @@ class SizeDiagnostics:
     per_layer: tuple[LayerSizeDiagnostics, ...]
 
 
+def _layer1_shape(members, k: int) -> tuple[bool, bool, bool]:
+    """The layer-1 shape of a minimum system, for the members of layer 1:
+    (every small is a singleton, at least k-2 smalls, exactly one large)."""
+    smalls = [mem for mem in members if not mem.has_H]
+    return (all(mem.atom_count == 1 for mem in smalls),
+            len(smalls) >= k - 2,
+            len(members) - len(smalls) == 1)
+
+
 def size_bounds_check(d: LayerDecomposition, k: int) -> SizeDiagnostics:
     if d.layer_count != k:
         raise ValueError(f"expected {k} layers, found {d.layer_count}")
@@ -239,11 +251,8 @@ def size_bounds_check(d: LayerDecomposition, k: int) -> SizeDiagnostics:
     bottom_is_empty = bottom.members == (Member(0, False),)
     top_is_full = top.members == (Member(d.source.full_mask, True),)
     if k >= 2:
-        layer1 = d.layers[1]
-        smalls1 = layer1.smalls()
-        layer1_small_singletons = all(mem.atom_count == 1 for mem in smalls1)
-        layer1_small_count_ok = len(smalls1) >= k - 2
-        layer1_single_large = len(layer1.larges()) == 1
+        layer1_small_singletons, layer1_small_count_ok, layer1_single_large = \
+            _layer1_shape(d.layers[1].members, k)
     else:
         layer1_small_singletons = layer1_small_count_ok = layer1_single_large = True
     return SizeDiagnostics(

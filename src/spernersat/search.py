@@ -11,6 +11,27 @@ can be rewritten into: singleton smalls, at least k-2 of them, exactly one
 large.  Forcing narrows the space to where a minimum must live; disable it
 to sweep the raw space at tiny bounds.
 
+Canonical order is a linear extension of containment, so appending never
+changes the depth (longest chain from below) of a member already chosen:
+each candidate's depth is 1 + the largest depth among the chosen members
+whose packed key is a bit-subset of its own, and the depths travel with
+the depth-first stack.  Relabelings read one image table per atom
+permutation (the image of every atom mask, m! * 2^m bytes per m, built
+once per call); the orbit check compares only the relabelings that fix
+every completed group of equal (H flag, atom count), and only on the open
+group (the argument is at _fixing).
+
+A complete candidate (a leaf) is tested in this order, each test exact:
+  1. its largest depth must be k, because the verifier's layer count is the
+     largest depth and a true verdict needs exactly k layers;
+  2. with forcing on and k >= 3, its depth-2 members (the verifier's
+     layer 1) must show the forced layer-1 shape, which forcing demands of
+     every accepted family;
+  3. verify_saturated_k_sperner must give a true verdict; it decides every
+     acceptance.
+The first two only skip leaves the third would reject or forcing would
+discard after it, so node counts equal those of verifying every leaf.
+
 FOUND results are re-verified before they are returned.  NONE_WITHIN_BOUNDS
 is only emitted after the whole pruned space was exhausted, and the
 certificate repeats the exact bounds (and the forcing flag) the claim is
@@ -19,11 +40,14 @@ relative to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import permutations
 
-from .family import Family, Member, member_depths
-from .saturation import size_bounds_check, verify_saturated_k_sperner
+import numpy as np
+
+# member_depths is not called here; perfbench/test_smoke.py reads the binding.
+from .family import MAX_ATOMS, Family, Member, member_depths  # noqa: F401
+from .saturation import _layer1_shape, verify_saturated_k_sperner
 
 FOUND = "FOUND"
 NONE_WITHIN_BOUNDS = "NONE_WITHIN_BOUNDS"
@@ -61,33 +85,36 @@ class Certificate:
 
 
 @dataclass(frozen=True)
+class SearchCounts:
+    """Where the candidates went.  Every candidate tried becomes a node or
+    exactly one of the chain and orbit prunes; every leaf node becomes
+    exactly one of the layer-count and shape prunes or a verified leaf."""
+
+    candidates: int = 0
+    chain_prunes: int = 0
+    orbit_prunes: int = 0
+    layer_count_prunes: int = 0
+    shape_prunes: int = 0
+    leaves_verified: int = 0
+
+
+@dataclass(frozen=True)
 class SearchResult:
     outcome: str
     family: Family | None
     nodes: int
     certificate: Certificate | None
+    counts: SearchCounts = field(default_factory=SearchCounts)
 
 
-def _atom_perms(m: int) -> list[tuple[int, ...]]:
-    # perm[b] = image bit position of bit b
-    return [tuple(p) for p in permutations(range(m))]
-
-
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _permuted_keys(members, perms):
-    """For each atom permutation, the sorted canonical keys of the relabeled
-    members."""
-    for perm in perms:
-        yield tuple(sorted((mem.has_H, mem.atom_count, _permute_mask(mem.atom_mask, perm))
-                           for mem in members))
+def _image_tables(m: int) -> list[bytes]:
+    """One table per atom permutation, identity first: table[mask] is the
+    image of the atom mask.  m! * 2^m bytes in all."""
+    perms = np.array(list(permutations(range(m))), dtype=np.uint8)
+    table = np.zeros((len(perms), 1 << m), dtype=np.uint8)
+    for b in range(m):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] | (np.uint8(1) << perms[:, b])[:, None]
+    return [row.tobytes() for row in table]
 
 
 def canonical_form(f: Family) -> Family:
@@ -96,27 +123,49 @@ def canonical_form(f: Family) -> Family:
     families are isomorphic iff their canonical forms are equal."""
     if f.m > CANONICAL_MAX_ATOMS:
         raise ValueError(f"canonical form supports at most {CANONICAL_MAX_ATOMS} atoms")
-    best = min(_permuted_keys(f.members, _atom_perms(f.m)))
+    best = min(sorted((mem.has_H, mem.atom_count, table[mem.atom_mask]) for mem in f.members)
+               for table in _image_tables(f.m))
     return Family(f.m, tuple(Member(mask, has_h) for has_h, _, mask in best))
 
 
-def _is_orbit_least(members: list[Member], perms) -> bool:
-    base = tuple(mem.key() for mem in members)
-    return all(keys >= base for keys in _permuted_keys(members, perms))
+# The orbit check.  A relabeling keeps every member's H flag and atom count,
+# so the sorted keys of a relabeled family fall into the same groups of equal
+# (H flag, atom count) as the family's own, and the two compare group by group.
+# Members arrive group after group, and every prefix already passed the check:
+# a relabeling that moves a completed group sorts it above itself, which no
+# later member can undo.  Only the relabelings that fix every completed group
+# (`live`) are compared, and only on the open group.
+
+def _fixing(live, group: list[int]) -> list[bytes]:
+    """The tables of live that map the ascending masks of group onto themselves."""
+    return [table for table in live if sorted([table[x] for x in group]) == group]
 
 
-def _chain_fits(members: list[Member], k: int) -> bool:
-    if not members:
-        return True
-    return int(member_depths(sorted(members, key=Member.key)).max()) <= k
+def _least_in_group(live, group: list[int]) -> bool:
+    """No table of live maps the ascending masks of group to a smaller sorted list."""
+    return all(sorted([table[x] for x in group]) >= group for table in live)
 
 
-def _layer1_shape_ok(report, k: int) -> bool:
-    # only asked after a true verdict, so the decomposition has k layers
-    if k < 3:
-        return True
-    d = size_bounds_check(report.decomposition, k)
-    return d.layer1_small_singletons and d.layer1_small_count_ok and d.layer1_single_large
+def _packed_key(mem: Member) -> int:
+    return mem.atom_mask | (mem.has_H << MAX_ATOMS)
+
+
+def _carried_depth(key: int, keys: list[int], depths: list[int]) -> int:
+    """Depth of a member appended after the chosen ones in canonical order:
+    1 + the largest depth among those whose packed key is inside its key."""
+    return 1 + max((d for other, d in zip(keys, depths) if other & ~key == 0), default=0)
+
+
+def _leaf_rejection(members, depths, k: int, forcing: bool) -> str | None:
+    """The SearchCounts field of the test that turns this complete candidate
+    down before the verifier, or None when the verifier has to decide."""
+    if max(depths) != k:
+        return "layer_count_prunes"
+    if forcing and k >= 3:
+        layer1 = [mem for mem, d in zip(members, depths) if d == 2]
+        if not all(_layer1_shape(layer1, k)):
+            return "shape_prunes"
+    return None
 
 
 class _Budget(Exception):
@@ -131,43 +180,74 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     BUDGET_EXHAUSTED once more than `bounds.budget` nodes were expanded.
     """
     k = bounds.k
+    force = forcing and k >= 2
+    # Under forcing the full set with H sits one above every other member.
+    depth_limit = k - 1 if force else k
     nodes = 0
+    tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
     found: list[Family] = []
+    tables_by_m: dict[int, list[bytes]] = {}
 
-    def dfs(m, perms, pool, chosen, next_index, size, forced_count):
+    def dfs(m, pool, top, chosen, keys, depths, live, group, group_kind, next_index, need):
+        # chosen, keys, depths: every member but the forced top.  live, group,
+        # group_kind: the orbit check's state (live is None above 8 atoms).
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
-        if len(chosen) == size:
-            family = Family(m, tuple(chosen))
-            report = verify_saturated_k_sperner(family, k)
-            if not report.verdict:
+        if len(chosen) == need:
+            members = chosen + top
+            leaf_depths = depths + [1 + max(depths)] if top else depths
+            reason = _leaf_rejection(members, leaf_depths, k, forcing)
+            if reason is not None:
+                tally[reason] += 1
                 return False
-            if forcing and not _layer1_shape_ok(report, k):
+            tally["leaves_verified"] += 1
+            family = Family(m, tuple(members))
+            if not verify_saturated_k_sperner(family, k).verdict:
                 return False
             found.append(family)
             return True
-        slack = size - len(chosen)
+        slack = need - len(chosen)
+        closed = None  # live restricted to the tables that fix group, once asked for
         for idx in range(next_index, len(pool) - slack + 1):
-            candidate = pool[idx]
-            extended = chosen + [candidate]
-            if not _chain_fits(extended, k):
+            candidate, key, kind = pool[idx]
+            tally["candidates"] += 1
+            depth = _carried_depth(key, keys, depths)
+            if depth > depth_limit:
+                tally["chain_prunes"] += 1
                 continue
-            if m <= CANONICAL_MAX_ATOMS and not _is_orbit_least(extended[forced_count:], perms):
-                continue
-            if dfs(m, perms, pool, extended, idx + 1, size, forced_count):
+            next_live, next_group, next_kind = live, group, group_kind
+            if live is not None:
+                if kind == group_kind:
+                    next_group = group + [candidate.atom_mask]
+                else:
+                    if closed is None:
+                        closed = _fixing(live, group)
+                    next_live, next_group, next_kind = closed, [candidate.atom_mask], kind
+                if not _least_in_group(next_live, next_group):
+                    tally["orbit_prunes"] += 1
+                    continue
+            chosen.append(candidate)
+            keys.append(key)
+            depths.append(depth)
+            hit = dfs(m, pool, top, chosen, keys, depths, next_live, next_group, next_kind,
+                      idx + 1, need)
+            chosen.pop()
+            keys.pop()
+            depths.pop()
+            if hit:
                 return True
         return False
+
+    def result(outcome, family=None, certificate=None):
+        return SearchResult(outcome, family, nodes, certificate, SearchCounts(**tally))
 
     try:
         for size in range(1, bounds.max_size + 1):
             for m in range(0, bounds.max_atoms + 1):
-                force = forcing and k >= 2
                 forced = [Member(0, False), Member((1 << m) - 1, True)] if force else []
                 if len(forced) > size:
-                    continue
-                if forced and not _chain_fits(forced, k):
                     continue
                 forced_set = set(forced)
                 pool = sorted(
@@ -177,15 +257,22 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                      if Member(mask, has_h) not in forced_set),
                     key=Member.key,
                 )
-                perms = _atom_perms(m) if m <= CANONICAL_MAX_ATOMS else []
-                if dfs(m, perms, pool, list(forced), 0, size, len(forced)):
+                live = None
+                if m <= CANONICAL_MAX_ATOMS:
+                    if m not in tables_by_m:
+                        tables_by_m[m] = _image_tables(m)[1:]  # the identity never sorts lower
+                    live = tables_by_m[m]
+                pool = [(mem, _packed_key(mem), (mem.has_H, mem.atom_count)) for mem in pool]
+                bottom, top = forced[:1], forced[1:]
+                if dfs(m, pool, top, bottom, [_packed_key(mem) for mem in bottom], [1] * len(bottom),
+                       live, [], None, 0, size - len(top)):
                     family = found[0]
                     report = verify_saturated_k_sperner(family, k)
                     if not report.verdict:
                         raise RuntimeError("search emitted an unverified family; this is a defect")
-                    return SearchResult(FOUND, family, nodes, None)
+                    return result(FOUND, family)
     except _Budget:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes, None)
+        return result(BUDGET_EXHAUSTED)
     certificate = Certificate(k=k, max_atoms=bounds.max_atoms,
-                              max_size=bounds.max_size, forced=forcing and k >= 2)
-    return SearchResult(NONE_WITHIN_BOUNDS, None, nodes, certificate)
+                              max_size=bounds.max_size, forced=force)
+    return result(NONE_WITHIN_BOUNDS, certificate=certificate)

@@ -4,6 +4,8 @@ probabilistic helpers."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spernersat import (
     LAYER_NOT_SATURATED,
@@ -33,6 +35,7 @@ from helpers import (
     random_family,
     random_saturated_antichain,
 )
+from spernersat.saturation import _first_uncovered
 
 
 # ------------------------------------------------- saturated antichains
@@ -60,6 +63,29 @@ def test_saturated_antichain_witness_is_canonically_first():
     # a lone large {1}+H covers empty and {1}; first failure is {2}
     ok, witness = is_saturated_antichain(Family(2, (Member(0b01, True),)))
     assert not ok and witness == 0b10
+
+
+@st.composite
+def _small_layers(draw):
+    m = draw(st.integers(0, 6))
+    members = draw(st.sets(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()), max_size=8))
+    return Family(m, tuple(Member(mask, has_h) for mask, has_h in members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_layers())
+def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
+    def covered(t):
+        return (any(mem.atom_mask & ~t == 0 for mem in layer.smalls())
+                or any(t & ~mem.atom_mask == 0 for mem in layer.larges()))
+    holes = [t for t in range(1 << layer.m) if not covered(t)]
+    assert _first_uncovered(layer) == min(holes, key=lambda t: (t.bit_count(), t), default=None)
+
+
+def test_first_uncovered_on_a_wide_universe():
+    # every subset but the full one is a hole; the first is the empty set
+    layer = Family(22, (Member((1 << 22) - 1, False),))
+    assert _first_uncovered(layer) == 0
 
 
 def test_saturated_antichain_rejects_non_antichain():

@@ -2,8 +2,12 @@
 budget handling, and determinism."""
 
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spernersat import (
     BUDGET_EXHAUSTED,
@@ -19,6 +23,18 @@ from spernersat import (
     search_min,
     three_sperner,
     verify_saturated_k_sperner,
+)
+from spernersat.family import member_depths
+from spernersat.saturation import _layer1_shape
+from spernersat.search import (
+    SearchCounts,
+    SearchResult,
+    _carried_depth,
+    _fixing,
+    _image_tables,
+    _leaf_rejection,
+    _least_in_group,
+    _packed_key,
 )
 from helpers import random_family
 
@@ -153,3 +169,126 @@ def test_forcing_agrees_with_free_search():
         if forced.outcome == FOUND:
             assert forced.family.size == free.family.size
         assert forced.nodes <= free.nodes
+
+
+# ------------------------------------------------------------- same tree
+
+def _roots(bounds, forcing, found=None):
+    """Depth-first roots: one per (size, m) that can hold the forced members,
+    up to the one that holds the found family."""
+    forced = 2 if forcing and bounds.k >= 2 else 0
+    roots = 0
+    for size in range(forced or 1, bounds.max_size + 1):
+        for m in range(bounds.max_atoms + 1):
+            roots += 1
+            if found is not None and (size, m) == (found.size, found.m):
+                return roots
+    return roots
+
+
+@pytest.mark.parametrize("k, max_atoms, max_size, forcing, outcome, nodes, size", [
+    (4, 4, 8, True, FOUND, 9100, 8),
+    (6, 3, 20, True, NONE_WITHIN_BOUNDS, 7237, None),
+    (5, 3, 15, True, NONE_WITHIN_BOUNDS, 7203, None),
+    (3, 3, 8, False, FOUND, 356, 4),
+    (3, 4, 6, False, FOUND, 938, 4),
+])
+def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome, nodes, size):
+    bounds = SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size)
+    result = search_min(bounds, forcing=forcing)
+    assert (result.outcome, result.nodes) == (outcome, nodes)
+    assert (result.family.size if result.family else None) == size
+    c = result.counts
+    roots = _roots(bounds, forcing, result.family)
+    assert result.nodes == roots + c.candidates - c.chain_prunes - c.orbit_prunes
+
+
+def test_search_counts_account_for_every_candidate():
+    bounds = SearchBounds(k=3, max_atoms=2, max_size=3)
+    result = search_min(bounds)
+    assert result.nodes == 12
+    c = result.counts
+    assert c == SearchCounts(candidates=8, chain_prunes=0, orbit_prunes=2,
+                             layer_count_prunes=3, shape_prunes=6, leaves_verified=0)
+    # every candidate tried is a node or exactly one prune
+    assert result.nodes == _roots(bounds, True) + c.candidates - c.chain_prunes - c.orbit_prunes
+    # the size-2 roots are leaves, and so is every node below a size-3 root
+    leaves = 3 + (result.nodes - 6)
+    assert c.layer_count_prunes + c.shape_prunes + c.leaves_verified == leaves
+    assert SearchResult(FOUND, None, 0, None).counts == SearchCounts()
+
+
+@st.composite
+def _canonical_members(draw):
+    """(m, forced, members): duplicate-free, in canonical order, with the
+    forced pair (empty set, full set with H) when forced."""
+    m = draw(st.integers(0, 4))
+    forced = draw(st.booleans())
+    ends = {Member(0, False), Member((1 << m) - 1, True)}
+    pool = [Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)]
+    if forced:
+        pool = [mem for mem in pool if mem not in ends]
+    chosen = draw(st.sets(st.sampled_from(pool), min_size=0 if forced else 1, max_size=10)) if pool else set()
+    return m, forced, sorted(chosen | ends if forced else chosen, key=Member.key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_members(), st.integers(1, 6))
+def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
+    m, forced, members = case
+    keys, depths = [], []
+    for mem in members:
+        depths.append(_carried_depth(_packed_key(mem), keys, depths))
+        keys.append(_packed_key(mem))
+    assert depths == member_depths(members).tolist()
+    if forced:
+        # the search sets the forced top's depth without a scan
+        assert depths[-1] == 1 + max(depths[:-1])
+    report = verify_saturated_k_sperner(Family(m, tuple(members)), k)
+    for forcing in (False, True):
+        wanted = report.layer_count == k and (
+            not forcing or k < 3 or all(_layer1_shape(report.decomposition.layers[1].members, k)))
+        assert (_leaf_rejection(members, depths, k, forcing) is None) == wanted
+
+
+def _relabel(mask, perm):
+    return sum(1 << perm[b] for b in range(len(perm)) if mask >> b & 1)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_image_tables_relabel_every_mask(m):
+    tables = _image_tables(m)
+    assert len(tables) == factorial(m)
+    for table, perm in zip(tables, permutations(range(m))):
+        assert list(table) == [_relabel(mask, perm) for mask in range(1 << m)]
+
+
+def _orbit_least(members, m):
+    keys = [mem.key() for mem in members]
+    return all(sorted((mem.has_H, mem.atom_count, _relabel(mem.atom_mask, perm)) for mem in members) >= keys
+               for perm in permutations(range(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_groupwise_orbit_check_matches_the_definition(m, data):
+    """Walk one depth-first path: each candidate's verdict, from the
+    relabelings that fix every completed group, equals the direct one."""
+    pool = sorted((Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)),
+                  key=Member.key)
+    chosen, live, group, group_key = [], _image_tables(m)[1:], [], None
+    start = 0
+    while start < len(pool):
+        idx = data.draw(st.integers(start, len(pool) - 1))
+        mem = pool[idx]
+        start = idx + 1
+        key = (mem.has_H, mem.atom_count)
+        if group and key == group_key:
+            next_live, next_group = live, group + [mem.atom_mask]
+        else:
+            next_live, next_group = _fixing(live, group), [mem.atom_mask]
+        verdict = _least_in_group(next_live, next_group)
+        assert verdict == _orbit_least(chosen + [mem], m)
+        if verdict:
+            chosen.append(mem)
+            live, group, group_key = next_live, next_group, key
