@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / verified true / found; 1 verified false / nothing
 found; 2 usage error; 3 unreadable or malformed input; 4 search budget
-exhausted.
+exhausted; 5 input beyond a capacity limit (CapacityError).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from . import bounds as bounds_mod
 from .constructions import MAX_MEMBERS, bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
-from .family import MAX_ATOMS, Family, FamilyFormatError, Member, parse_family, serialize_family
+from .family import MAX_ATOMS, CapacityError, Family, FamilyFormatError, Member, parse_family, serialize_family
 from .saturation import (
     brute_force_saturated,
     find_atoms,
@@ -28,6 +28,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_BUDGET = 4
+EXIT_CAPACITY = 5
 
 
 def _read_text(path: str) -> str:
@@ -109,6 +110,8 @@ def cmd_reduce(args) -> int:
     family = _load_family(args.infile)
     try:
         reduced, trace = reduce_antichain(family)
+    except CapacityError:
+        raise
     except ValueError as exc:
         print(f"input rejected: {exc}", file=sys.stderr)
         return EXIT_FALSE
@@ -296,6 +299,9 @@ def main(argv=None) -> int:
     except FamilyFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,11 @@ class FamilyFormatError(ValueError):
         self.line = line
 
 
+class CapacityError(ValueError):
+    """A well-formed input beyond the size an exhaustive computation allows;
+    raised before any of that work starts."""
+
+
 @dataclass(frozen=True)
 class Member:
     """One set: the atoms it contains, and whether it contains the block H."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from .family import (
     MAX_ATOMS,
+    CapacityError,
     Family,
     LayerDecomposition,
     Member,
@@ -71,11 +72,11 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     """Exhaustive test over all 2^m atom subsets: (True, None), or (False,
     witness) with the mask of the first uncovered subset in canonical order
     (atom count, then numeric value).  Raises ValueError if the input is not
-    an antichain or the universe is too large to scan."""
+    an antichain, and CapacityError if the universe is too large to scan."""
+    if layer.m > SCAN_MAX_ATOMS:
+        raise CapacityError(f"universe of size {layer.m} is too large for the exhaustive scan")
     if not is_antichain(layer):
         raise ValueError("input is not an antichain")
-    if layer.m > SCAN_MAX_ATOMS:
-        raise ValueError(f"universe of size {layer.m} is too large for the exhaustive scan")
     witness = _first_uncovered(layer)
     return witness is None, witness
 
@@ -163,7 +164,7 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
     if not f.members:
         raise ValueError("family is empty")
     if f.m > SCAN_MAX_ATOMS:
-        raise ValueError(f"universe of size {f.m} is too large for the exhaustive scan")
+        raise CapacityError(f"universe of size {f.m} is too large for the exhaustive scan")
     decomposition = canonical_decomposition(f)
     layer_reports = []
     reasons = []
@@ -297,7 +298,7 @@ def instantiate(f: Family, h: int) -> ConcreteFamily:
         raise ValueError("H must contain at least 2 elements")
     n = f.m + h
     if n > ORACLE_MAX_GROUND:
-        raise ValueError(f"ground set of size {n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
+        raise CapacityError(f"ground set of size {n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
     h_mask = ((1 << h) - 1) << f.m
     members = tuple(
         mem.atom_mask | (h_mask if mem.has_H else 0)
@@ -349,6 +350,23 @@ def _oracle_strict_max(table: np.ndarray, n: int, from_below: bool) -> np.ndarra
     return strict
 
 
+def _oracle_depths(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(down, up): the number of members on the longest chain ending and
+    starting at each member.  keys are the member masks, duplicate-free and
+    sorted by (popcount, value), so the earlier bit-subsets of keys[j] are
+    its proper subsets and the later bit-supersets its proper supersets.
+    Kept apart from the verifier's member_depths so the oracle stays
+    independent."""
+    count = len(keys)
+    down = np.ones(count, dtype=np.int8)
+    up = np.ones(count, dtype=np.int8)
+    for j in range(count):
+        down[j] = 1 + down[:j][(keys[:j] & ~keys[j]) == 0].max(initial=0)
+    for j in range(count - 1, -1, -1):
+        up[j] = 1 + up[j + 1:][(keys[j] & ~keys[j + 1:]) == 0].max(initial=0)
+    return down, up
+
+
 def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
     """Ground-truth saturation check on a concrete family.
 
@@ -361,39 +379,23 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     if c.n > ORACLE_MAX_GROUND:
-        raise ValueError(f"ground set of size {c.n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
-    mems = c.members  # sorted by popcount: topological for containment
-    count = len(mems)
-    down = [1] * count
-    up = [1] * count
-    for j in range(count):
-        best = 0
-        mj = mems[j]
-        for i in range(j):
-            if mems[i] != mj and (mems[i] & ~mj) == 0 and down[i] > best:
-                best = down[i]
-        down[j] = 1 + best
-    for j in range(count - 1, -1, -1):
-        best = 0
-        mj = mems[j]
-        for i in range(count - 1, j, -1):
-            if mems[i] != mj and (mj & ~mems[i]) == 0 and up[i] > best:
-                best = up[i]
-        up[j] = 1 + best
-    longest = max((down[i] + up[i] - 1 for i in range(count)), default=0)
+        raise CapacityError(f"ground set of size {c.n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
+    # A chain in P([n]) has at most n+1 <= 25 sets, so the depths and the
+    # sums of two of them fit in int8.
+    keys = np.array(c.members, dtype=np.int64)
+    down, up = _oracle_depths(keys)
+    longest = int((down + up - 1).max(initial=0))
     if longest > k:
         return False
     size = 1 << c.n
-    below_incl = np.zeros(size, dtype=np.int16)
-    for mask, d in zip(mems, down):
-        below_incl[mask] = d
+    below_incl = np.zeros(size, dtype=np.int8)
+    below_incl[keys] = down
     below_strict = _oracle_strict_max(below_incl, c.n, from_below=True)
-    above_incl = np.zeros(size, dtype=np.int16)
-    for mask, u in zip(mems, up):
-        above_incl[mask] = u
+    above_incl = np.zeros(size, dtype=np.int8)
+    above_incl[keys] = up
     above_strict = _oracle_strict_max(above_incl, c.n, from_below=False)
-    closes = below_strict.astype(np.int32) + above_strict.astype(np.int32) >= k
-    closes[np.array(mems, dtype=np.int64)] = True
+    closes = below_strict + above_strict >= k
+    closes[keys] = True
     return bool(closes.all())
 
 

@@ -237,3 +237,24 @@ def test_format_and_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "oracle", "--in", str(h_file), "--h", "1", "--k", "3")
     assert code == 2
     assert "error" in err
+
+
+def test_capacity_refusals_exit_5(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("universe 25\nempty\nH\n")
+    code, out, err = run(capsys, "verify", "--k", "2", "--in", str(wide))
+    assert code == 5
+    assert out == ""
+    assert err == "capacity error: universe of size 25 is too large for the exhaustive scan\n"
+    code, out, err = run(capsys, "reduce", "--in", str(wide))
+    assert code == 5
+    assert err == "capacity error: universe of size 25 is too large for the exhaustive scan\n"
+
+    path = tmp_path / "seven56.txt"
+    run(capsys, "construct", "--kind", "seven56", "--out", str(path))
+    code, out, err = run(capsys, "oracle", "--in", str(path), "--h", "20", "--k", "7")
+    assert code == 5
+    assert out == ""
+    assert err == "capacity error: ground set of size 27 exceeds the oracle limit 24\n"
+    # an H block of one element is a usage error, not a capacity limit
+    assert run(capsys, "oracle", "--in", str(path), "--h", "1", "--k", "7")[0] == 2

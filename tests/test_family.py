@@ -301,6 +301,23 @@ def test_serialize_is_canonical_and_round_trips_random():
         assert serialize_family(parse_family(text)) == text
 
 
+@st.composite
+def _families(draw):
+    # any universe size, smalls and larges, the empty family included
+    m = draw(st.integers(0, MAX_ATOMS))
+    members = draw(st.sets(st.builds(Member, st.integers(0, (1 << m) - 1), st.booleans()),
+                           max_size=16))
+    return Family(m, tuple(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families())
+def test_parse_serialize_is_a_fixed_point(f):
+    text = serialize_family(f)
+    assert parse_family(text) == f
+    assert serialize_family(parse_family(text)) == text
+
+
 def test_parse_accepts_bytes_and_comments_anywhere():
     f = parse_family(b"# lead\nuniverse 2\n# mid\n1\n")
     assert f.members == (Member(0b1, False),)

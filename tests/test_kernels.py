@@ -1,16 +1,18 @@
-"""The two butterfly kernels against direct O(4^m) definitions, and the
+"""The two butterfly kernels against direct O(4^m) definitions, the
+oracle's chain depths against a memoized longest-chain definition, and the
 guards on what the layer verifier reaches: nothing of the brute-force
 oracle, and no pair scan on its own layers."""
 
 import inspect
 import types
+from functools import cache
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spernersat import saturation
-from spernersat.saturation import _closure, _oracle_strict_max
+from spernersat.saturation import ConcreteFamily, _closure, _oracle_depths, _oracle_strict_max
 
 
 def _tables(elements):
@@ -46,6 +48,31 @@ def test_oracle_kernel_matches_definition(case, from_below):
               for t in range(size)]
     assert table.tolist() == incl
     assert strict.tolist() == proper
+
+
+@st.composite
+def _concrete_families(draw):
+    # duplicate-free subsets of {1..n}, n <= 10, the empty family included
+    n = draw(st.integers(0, 10))
+    return ConcreteFamily(n, tuple(draw(st.sets(st.integers(0, (1 << n) - 1), max_size=40))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_concrete_families())
+def test_oracle_depths_match_longest_chain_definition(c):
+    mems = c.members
+
+    @cache
+    def below(x):  # members on the longest chain of members ending at x
+        return 1 + max((below(y) for y in mems if y != x and y & ~x == 0), default=0)
+
+    @cache
+    def above(x):  # members on the longest chain of members starting at x
+        return 1 + max((above(y) for y in mems if y != x and x & ~y == 0), default=0)
+
+    down, up = _oracle_depths(np.array(mems, dtype=np.int64))
+    assert down.tolist() == [below(x) for x in mems]
+    assert up.tolist() == [above(x) for x in mems]
 
 
 def _reachable(func) -> set[str]:

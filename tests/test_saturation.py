@@ -2,6 +2,7 @@
 probabilistic helpers."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from spernersat import (
     LAYER_NOT_SATURATED,
+    ORACLE_MAX_GROUND,
+    SCAN_MAX_ATOMS,
     WRONG_LAYER_COUNT,
+    CapacityError,
     ConcreteFamily,
     Family,
     Member,
@@ -294,6 +298,66 @@ def test_oracle_equivalence_sample():
             verdict = verify_saturated_k_sperner(f, k).verdict
             for h in (2, 3):
                 assert brute_force_saturated(instantiate(f, h), k) == verdict
+
+
+def test_brute_force_degree_beyond_int8():
+    # The depth tables are int8; a degree of 128 or more must not wrap.
+    for k in (127, 128, 255, 256, 300):
+        assert not brute_force_saturated(ConcreteFamily(2, (0, 0b11)), k)
+        # no set is absent from P([3]), and its chains have 4 sets
+        assert brute_force_saturated(ConcreteFamily(3, tuple(range(8))), k)
+    assert not brute_force_saturated(ConcreteFamily(3, tuple(range(8))), 3)
+
+
+def test_brute_force_tables_memory():
+    n = 20
+    c = ConcreteFamily(n, (0, (1 << n) - 1))
+    tracemalloc.start()
+    try:
+        assert brute_force_saturated(c, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # six 2^20-entry int8/bool arrays at the peak
+    assert peak < 8 * 2**20, peak
+
+
+def test_capacity_refusals_are_capacity_errors():
+    assert issubclass(CapacityError, ValueError)
+    big = Family(SCAN_MAX_ATOMS + 1, (Member(0, False),))
+    with pytest.raises(CapacityError, match="universe of size 25 is too large for the exhaustive scan"):
+        verify_saturated_k_sperner(big, 1)
+    # refused before the pair scan, so a comparable pair does not matter
+    chain = Family(SCAN_MAX_ATOMS + 1, (Member(0, False), Member(1, False)))
+    with pytest.raises(CapacityError, match="universe of size 25 is too large for the exhaustive scan"):
+        is_saturated_antichain(chain)
+    with pytest.raises(CapacityError, match="ground set of size 27 exceeds the oracle limit 24"):
+        instantiate(seven56(), 20)
+    with pytest.raises(CapacityError, match="ground set of size 25 exceeds the oracle limit 24"):
+        brute_force_saturated(ConcreteFamily(ORACLE_MAX_GROUND + 1, (0,)), 1)
+    # a bad h or k stays a plain ValueError
+    for call in (lambda: instantiate(seven56(), 1), lambda: brute_force_saturated(ConcreteFamily(1, (0,)), 0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, CapacityError)
+
+
+@st.composite
+def _abstract_families(draw):
+    # m <= 5 atoms, 1..12 members, smalls and larges
+    m = draw(st.integers(0, 5))
+    members = draw(st.sets(st.builds(Member, st.integers(0, (1 << m) - 1), st.booleans()),
+                           min_size=1, max_size=12))
+    return Family(m, tuple(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_abstract_families(), st.sampled_from((2, 3)))
+def test_verifier_matches_oracle_property(f, h):
+    chain = longest_chain_length(f)
+    concrete = instantiate(f, h)
+    for k in range(max(1, chain - 1), chain + 2):
+        assert brute_force_saturated(concrete, k) == verify_saturated_k_sperner(f, k).verdict, k
 
 
 # ------------------------------------------------- probabilistic helpers
