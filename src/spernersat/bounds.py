@@ -25,11 +25,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .family import CapacityError
+
 LN2 = math.log(2.0)
 SQRT_PI = math.sqrt(math.pi)
 
 EPS_NEW = 1.0 - math.log2(28.0) / 5.0
 EPS_MNS = 1.0 - math.log2(15.0) / 4.0
+
+# Most layer terms (k // 2 per report, one margin per scanned k) one request
+# may hold.  A term costs up to ~420 bytes through `bounds --json` (~90 in
+# text), so the largest accepted request stays under about 1 GB.
+MAX_LAYER_TERMS = 2_000_000
+
+
+def _check_terms(terms: int, what: str) -> None:
+    if terms > MAX_LAYER_TERMS:
+        raise CapacityError(f"{what} needs {terms} layer terms (limit {MAX_LAYER_TERMS})")
 
 
 def _erf_series(x: float) -> float:
@@ -176,6 +188,7 @@ def find_threshold(k_max: int) -> ThresholdScan:
     stays at or above k/2 + log2(k)/2 through k_max."""
     if k_max < 7:
         raise ValueError("k_max must be >= 7")
+    _check_terms(k_max - 6, f"threshold scan up to {k_max}")
     margins = {}
     for k in range(7, k_max + 1):
         margins[k] = erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k))
@@ -244,6 +257,7 @@ def upper_bound_report(k: int) -> BoundReport:
     populated from k = 7 on."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    _check_terms(k // 2, f"degree {k}")
     j, s = divmod(k - 2, 5)
     upper_log2 = (s + 1) + j * math.log2(28.0)
     margin_upper = (1.0 - EPS_NEW) * k - upper_log2
@@ -278,4 +292,7 @@ def upper_bound_report(k: int) -> BoundReport:
 def bound_table(k_lo: int, k_hi: int) -> list[BoundReport]:
     if not 2 <= k_lo <= k_hi:
         raise ValueError("need 2 <= k_lo <= k_hi")
+    # sum of k // 2 over k = 0..n is (n // 2) * ((n + 1) // 2)
+    terms = (k_hi // 2) * ((k_hi + 1) // 2) - ((k_lo - 1) // 2) * (k_lo // 2)
+    _check_terms(terms, f"table {k_lo}..{k_hi}")
     return [upper_bound_report(k) for k in range(k_lo, k_hi + 1)]

@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .constructions import MAX_MEMBERS, bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
-from .family import MAX_ATOMS, CapacityError, Family, FamilyFormatError, Member, parse_family, serialize_family
+from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
+from .family import CapacityError, Family, FamilyFormatError, Member, parse_family, serialize_family
 from .saturation import (
     brute_force_saturated,
     find_atoms,
@@ -84,15 +84,6 @@ def cmd_construct(args) -> int:
         family = seven56()
     else:
         family, plan = bootstrapped(args.k)
-        if family is None:
-            if plan.atoms_needed > MAX_ATOMS:
-                need = f"{plan.atoms_needed} atoms (limit {MAX_ATOMS})"
-            else:
-                need = f"{plan.predicted_size} members (limit {MAX_MEMBERS})"
-            print(f"degree {plan.k} needs {need}; "
-                  f"plan: {' * '.join(plan.factors)}, predicted size {plan.predicted_size}",
-                  file=sys.stderr)
-            return EXIT_FALSE
         print(f"plan: j={plan.j} s={plan.s} predicted size {plan.predicted_size}",
               file=sys.stderr)
     _write_text(args.out, serialize_family(family))

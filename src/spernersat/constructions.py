@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .family import (
     MAX_ATOMS,
+    CapacityError,
     Family,
     Member,
     complement_member,
@@ -29,7 +30,7 @@ from .family import (
 )
 from .saturation import is_saturated_antichain
 
-# bootstrapped() refuses, from the plan alone, to build more members than this.
+# compose() and bootstrapped() refuse, before building, to make more members than this.
 MAX_MEMBERS = 1 << 21
 
 
@@ -81,19 +82,18 @@ def seven56() -> Family:
 def compose(f1: Family, f2: Family) -> Family:
     """Product on disjoint atom universes: smalls pair with smalls, larges
     with larges (their H blocks merge).  Degrees add as k1 + k2 - 2 and the
-    size is |s1||s2| + |l1||l2|."""
+    size is |s1||s2| + |l1||l2|.  Raises CapacityError, before building,
+    beyond MAX_ATOMS atoms or MAX_MEMBERS members."""
     m = f1.m + f2.m
     if m > MAX_ATOMS:
-        raise ValueError(f"composed universe needs {m} atoms, limit is {MAX_ATOMS}")
+        raise CapacityError(f"composed universe needs {m} atoms, limit is {MAX_ATOMS}")
+    s1, s2, l1, l2 = f1.smalls(), f2.smalls(), f1.larges(), f2.larges()
+    size = len(s1) * len(s2) + len(l1) * len(l2)
+    if size > MAX_MEMBERS:
+        raise CapacityError(f"composed family needs {size} members, limit is {MAX_MEMBERS}")
     shift = f1.m
-    members = [
-        Member(a.atom_mask | (b.atom_mask << shift), False)
-        for a in f1.smalls() for b in f2.smalls()
-    ]
-    members += [
-        Member(a.atom_mask | (b.atom_mask << shift), True)
-        for a in f1.larges() for b in f2.larges()
-    ]
+    members = [Member(a.atom_mask | (b.atom_mask << shift), False) for a in s1 for b in s2]
+    members += [Member(a.atom_mask | (b.atom_mask << shift), True) for a in l1 for b in l2]
     return Family(m, tuple(members))
 
 
@@ -121,18 +121,23 @@ class CompositionPlan:
         return 7 * self.j + self.s
 
 
-def bootstrapped(k: int) -> tuple[Family | None, CompositionPlan]:
+def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
     """Best available construction for degree k: fold the composition over
     j copies of the 56-member system and s copies of the 4-member system.
-    For k < 7 this reproduces the power-set construction exactly.  When the
-    composed universe would exceed MAX_ATOMS atoms, or the family MAX_MEMBERS
-    members, only the plan is returned."""
+    For k < 7 this reproduces the power-set construction exactly.  Raises
+    CapacityError, from the plan and before building anything, when the
+    composed universe would exceed MAX_ATOMS atoms or the family MAX_MEMBERS
+    members."""
     if k < 2:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    if plan.atoms_needed > MAX_ATOMS or plan.predicted_size > MAX_MEMBERS:
-        return None, plan
+    for need, unit, limit in ((plan.atoms_needed, "atoms", MAX_ATOMS),
+                              (plan.predicted_size, "members", MAX_MEMBERS)):
+        if need > limit:
+            raise CapacityError(f"degree {k} needs {need} {unit} (limit {limit}); "
+                                f"plan: {' * '.join(plan.factors)}, "
+                                f"predicted size {plan.predicted_size}")
     family = trivial_construction(2)
     for _ in range(j):
         family = compose(family, seven56())

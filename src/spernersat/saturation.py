@@ -354,17 +354,17 @@ def _oracle_depths(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(down, up): the number of members on the longest chain ending and
     starting at each member.  keys are the member masks, duplicate-free and
     sorted by (popcount, value), so the earlier bit-subsets of keys[j] are
-    its proper subsets and the later bit-supersets its proper supersets.
-    Kept apart from the verifier's member_depths so the oracle stays
-    independent."""
-    count = len(keys)
-    down = np.ones(count, dtype=np.int8)
-    up = np.ones(count, dtype=np.int8)
-    for j in range(count):
-        down[j] = 1 + down[:j][(keys[:j] & ~keys[j]) == 0].max(initial=0)
-    for j in range(count - 1, -1, -1):
-        up[j] = 1 + up[j + 1:][(keys[j] & ~keys[j + 1:]) == 0].max(initial=0)
-    return down, up
+    its proper subsets.  up is the same pass over ~keys[::-1], reversed
+    back: complementing every bit turns supersets into subsets, and the
+    reversed order again puts them first.  Kept apart from the verifier's
+    member_depths so the oracle stays independent."""
+    passes = []
+    for ordered in (keys, ~keys[::-1]):
+        depth = np.ones(len(ordered), dtype=np.int8)
+        for j in range(len(ordered)):
+            depth[j] = 1 + depth[:j][(ordered[:j] & ~ordered[j]) == 0].max(initial=0)
+        passes.append(depth)
+    return passes[0], passes[1][::-1]
 
 
 def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:

@@ -2,14 +2,14 @@
 
 Candidates are enumerated by size, then by universe size, then depth-first
 by appending members in canonical order.  Partial families are pruned when
-they already hold a chain of k+1 members, and (atom universes up to 8) when
-they are not the lexicographically least relabeling of themselves, so each
-isomorphism class is expanded once.  With structural forcing on (the
-default) the empty set and the full set are fixed in every candidate and
-complete candidates must show the layer-1 shape that any minimum system
-can be rewritten into: singleton smalls, at least k-2 of them, exactly one
-large.  Forcing narrows the space to where a minimum must live; disable it
-to sweep the raw space at tiny bounds.
+they already hold a chain of k+1 members, and when they are not the
+lexicographically least relabeling of themselves, so each isomorphism class
+is expanded once.  With structural forcing on (the default) the empty set
+and the full set are fixed in every candidate and complete candidates must
+show the layer-1 shape that any minimum system can be rewritten into:
+singleton smalls, at least k-2 of them, exactly one large.  Forcing narrows
+the space to where a minimum must live; disable it to sweep the raw space
+at tiny bounds.
 
 Canonical order is a linear extension of containment, so appending never
 changes the depth (longest chain from below) of a member already chosen:
@@ -53,6 +53,7 @@ FOUND = "FOUND"
 NONE_WITHIN_BOUNDS = "NONE_WITHIN_BOUNDS"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
+# The image tables take m! * 2^m bytes: 10 MB at m = 8, 186 MB at m = 9.
 CANONICAL_MAX_ATOMS = 8
 
 
@@ -66,8 +67,8 @@ class SearchBounds:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 <= self.max_atoms <= 10:
-            raise ValueError("max_atoms must be in [0, 10]")
+        if not 0 <= self.max_atoms <= CANONICAL_MAX_ATOMS:
+            raise ValueError(f"max_atoms must be in [0, {CANONICAL_MAX_ATOMS}]")
         if not 1 <= self.max_size <= 64:
             raise ValueError("max_size must be in [1, 64]")
         if self.budget < 1:
@@ -190,7 +191,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
 
     def dfs(m, pool, top, chosen, keys, depths, live, group, group_kind, next_index, need):
         # chosen, keys, depths: every member but the forced top.  live, group,
-        # group_kind: the orbit check's state (live is None above 8 atoms).
+        # group_kind: the orbit check's state.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
@@ -217,21 +218,19 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             if depth > depth_limit:
                 tally["chain_prunes"] += 1
                 continue
-            next_live, next_group, next_kind = live, group, group_kind
-            if live is not None:
-                if kind == group_kind:
-                    next_group = group + [candidate.atom_mask]
-                else:
-                    if closed is None:
-                        closed = _fixing(live, group)
-                    next_live, next_group, next_kind = closed, [candidate.atom_mask], kind
-                if not _least_in_group(next_live, next_group):
-                    tally["orbit_prunes"] += 1
-                    continue
+            if kind == group_kind:
+                next_live, next_group = live, group + [candidate.atom_mask]
+            else:
+                if closed is None:
+                    closed = _fixing(live, group)
+                next_live, next_group = closed, [candidate.atom_mask]
+            if not _least_in_group(next_live, next_group):
+                tally["orbit_prunes"] += 1
+                continue
             chosen.append(candidate)
             keys.append(key)
             depths.append(depth)
-            hit = dfs(m, pool, top, chosen, keys, depths, next_live, next_group, next_kind,
+            hit = dfs(m, pool, top, chosen, keys, depths, next_live, next_group, kind,
                       idx + 1, need)
             chosen.pop()
             keys.pop()
@@ -257,15 +256,12 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                      if Member(mask, has_h) not in forced_set),
                     key=Member.key,
                 )
-                live = None
-                if m <= CANONICAL_MAX_ATOMS:
-                    if m not in tables_by_m:
-                        tables_by_m[m] = _image_tables(m)[1:]  # the identity never sorts lower
-                    live = tables_by_m[m]
+                if m not in tables_by_m:
+                    tables_by_m[m] = _image_tables(m)[1:]  # the identity never sorts lower
                 pool = [(mem, _packed_key(mem), (mem.has_H, mem.atom_count)) for mem in pool]
                 bottom, top = forced[:1], forced[1:]
                 if dfs(m, pool, top, bottom, [_packed_key(mem) for mem in bottom], [1] * len(bottom),
-                       live, [], None, 0, size - len(top)):
+                       tables_by_m[m], [], None, 0, size - len(top)):
                     family = found[0]
                     report = verify_saturated_k_sperner(family, k)
                     if not report.verdict:

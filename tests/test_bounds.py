@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from spernersat import bounds as bounds_mod
 from spernersat import (
     EPS_MNS,
     EPS_NEW,
+    CapacityError,
     bound_table,
     bracket_factor,
     erf_fn,
@@ -247,3 +249,20 @@ def test_bound_table_range():
         bound_table(5, 4)
     with pytest.raises(ValueError):
         bound_table(1, 4)
+
+
+def test_layer_term_limit_is_checked_before_any_work(monkeypatch):
+    with pytest.raises(CapacityError, match=r"degree 4000002 needs 2000001 layer terms \(limit 2000000\)"):
+        upper_bound_report(4_000_002)
+    with pytest.raises(CapacityError, match="table 7..20000 needs 99999991 layer terms"):
+        bound_table(7, 20_000)
+    with pytest.raises(CapacityError, match="threshold scan up to 2000007 needs 2000001 layer terms"):
+        find_threshold(2_000_007)
+    # the counts of the largest everyday requests, read from the guard alone
+    monkeypatch.setattr(bounds_mod, "MAX_LAYER_TERMS", 0)
+    with pytest.raises(CapacityError, match="table 7..2000 needs 999991 layer terms"):
+        bound_table(7, 2000)
+    with pytest.raises(CapacityError, match="threshold scan up to 2000 needs 1994 layer terms"):
+        find_threshold(2000)
+    with pytest.raises(CapacityError, match="table 2..3 needs 2 layer terms"):
+        bound_table(2, 3)

@@ -40,9 +40,10 @@ def test_construct_trivial_and_bootstrap(tmp_path, capsys):
     assert "predicted size 112" in err
     assert parse_family(path.read_text()).size == 112
 
-    # beyond the atom cap only the plan is reported
+    # beyond the atom cap the plan is reported as a capacity error
     code, _, err = run(capsys, "construct", "--kind", "bootstrap", "--k", "47", "--out", str(path))
-    assert code == 1
+    assert code == 5
+    assert "capacity error:" in err
     assert "63 atoms" in err
 
     code, _, err = run(capsys, "construct", "--kind", "trivial")
@@ -58,8 +59,9 @@ def test_construct_bootstrap_refuses_beyond_member_cap(monkeypatch, capsys):
 
     monkeypatch.setattr(constructions_mod, "compose", no_compose)
     code, out, err = run(capsys, "construct", "--kind", "bootstrap", "--k", "30")
-    assert code == 1
+    assert code == 5
     assert out == ""
+    assert "capacity error:" in err
     assert "needs 275365888 members (limit 2097152)" in err
     assert "atoms" not in err
 
@@ -258,3 +260,26 @@ def test_capacity_refusals_exit_5(tmp_path, capsys):
     assert err == "capacity error: ground set of size 27 exceeds the oracle limit 24\n"
     # an H block of one element is a usage error, not a capacity limit
     assert run(capsys, "oracle", "--in", str(path), "--h", "1", "--k", "7")[0] == 2
+
+
+def test_compose_and_bounds_beyond_their_limits_exit_5(tmp_path, capsys):
+    power = tmp_path / "power13.txt"
+    run(capsys, "construct", "--kind", "trivial", "--k", "13", "--out", str(power))
+    out_path = tmp_path / "composed.txt"
+    code, out, err = run(capsys, "compose", "--a", str(power), "--b", str(power), "--out", str(out_path))
+    assert code == 5
+    assert err == "capacity error: composed family needs 8388608 members, limit is 2097152\n"
+    assert not out_path.exists()
+
+    for argv, need in ((["--k", str(10 ** 12)], "degree 1000000000000 needs 500000000000"),
+                       (["--table", "7..20000"], "table 7..20000 needs 99999991"),
+                       (["--threshold", "3000000"], "threshold scan up to 3000000 needs 2999994")):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 5
+        assert out == ""
+        assert err == f"capacity error: {need} layer terms (limit 2000000)\n"
+
+    # the search's orbit check covers at most 8 atoms: a usage error, not a capacity limit
+    code, _, err = run(capsys, "search", "--k", "4", "--max-atoms", "9", "--max-size", "8")
+    assert code == 2
+    assert "bad bounds: max_atoms must be in [0, 8]" in err

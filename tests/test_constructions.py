@@ -4,13 +4,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spernersat import (
     EPS_NEW,
+    CapacityError,
     Family,
     Member,
+    ReductionTrace,
     bootstrapped,
     canonical_decomposition,
+    complement_family,
     compose,
     is_antichain,
     is_saturated_antichain,
@@ -137,6 +142,67 @@ def test_compose_universe_cap():
         compose(wide, Family(30, (Member(0, False), Member((1 << 30) - 1, True))))
 
 
+def test_compose_caps_raise_capacity_error_before_building():
+    wide = Family(40, (Member(0, False), Member((1 << 40) - 1, True)))
+    with pytest.raises(CapacityError, match="composed universe needs 70 atoms, limit is 62"):
+        compose(wide, Family(30, (Member(0, False), Member((1 << 30) - 1, True))))
+    # 2048 smalls and 2048 larges each: 2 * 2048^2 = 8,388,608 members
+    power = trivial_construction(13)
+    with pytest.raises(CapacityError, match="composed family needs 8388608 members, limit is 2097152"):
+        compose(power, power)
+
+
+def _families(max_atoms: int = 4, max_members: int = 10):
+    """Arbitrary duplicate-free families, the empty family included."""
+    return st.integers(0, max_atoms).flatmap(lambda m: st.builds(
+        lambda masks: Family(m, tuple(Member(mask, has_h) for mask, has_h in masks)),
+        st.sets(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()), max_size=max_members)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families(), _families())
+def test_compose_size_identity_property(f1, f2):
+    g = compose(f1, f2)
+    assert g.m == f1.m + f2.m
+    assert len(g.smalls()) == len(f1.smalls()) * len(f2.smalls())
+    assert len(g.larges()) == len(f1.larges()) * len(f2.larges())
+    assert g.size == len(g.smalls()) + len(g.larges())
+
+
+# saturated k-Sperner built-ins up to 64 members, so every pair verifies quickly
+_SMALL_BUILTINS = [entry for entry in builtin_families() if entry[1].size <= 64]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_BUILTINS), st.sampled_from(_SMALL_BUILTINS),
+       st.booleans(), st.booleans())
+def test_compose_degree_identity_property(left, right, flip_left, flip_right):
+    """The complement of a saturated k-Sperner system is one too, and
+    composing two gives degree k1 + k2 - 2."""
+    (_, f1, k1), (_, f2, k2) = left, right
+    f1 = complement_family(f1) if flip_left else f1
+    f2 = complement_family(f2) if flip_right else f2
+    assert verify_saturated_k_sperner(compose(f1, f2), k1 + k2 - 2).verdict
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_SMALL_BUILTINS))
+def test_compose_with_own_complement_property(entry):
+    """F composed with F^c: degree 2k - 2, s*l smalls and s*l larges."""
+    _, f, k = entry
+    g = compose(f, complement_family(f))
+    product = len(f.smalls()) * len(f.larges())
+    assert (len(g.smalls()), len(g.larges())) == (product, product)
+    assert verify_saturated_k_sperner(g, 2 * k - 2).verdict
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 14))
+def test_builtins_are_complement_closed(k):
+    assert complement_family(trivial_construction(k)) == trivial_construction(k)
+    assert complement_family(seven56()) == seven56()
+
+
 # ----------------------------------------------------------- bootstrap
 
 def test_bootstrapped_matches_powerset_below_seven():
@@ -185,11 +251,18 @@ def test_bootstrapped_size_identity_arithmetic():
         assert math.log2(total) <= (1.0 - EPS_NEW) * k + 1e-9
 
 
-def test_bootstrapped_plan_only_beyond_atom_cap():
-    fam, plan = bootstrapped(47)
-    assert fam is None
-    assert plan.atoms_needed == 63
-    assert plan.predicted_size == 2 ** (plan.s + 1) * 28 ** plan.j
+def test_bootstrapped_plan_only_beyond_atom_cap(monkeypatch):
+    import spernersat.constructions as constructions_mod
+
+    def no_compose(f1, f2):
+        raise AssertionError("compose ran past the atom cap")
+
+    monkeypatch.setattr(constructions_mod, "compose", no_compose)
+    # k = 47 = 5 * 9 + 2: nine seven56 blocks, 63 atoms, 2 * 28^9 members
+    with pytest.raises(CapacityError, match=rf"degree 47 needs 63 atoms \(limit 62\); "
+                                            rf"plan: seven56( \* seven56){{8}}, "
+                                            rf"predicted size {2 * 28 ** 9}$"):
+        bootstrapped(47)
     with pytest.raises(ValueError):
         bootstrapped(1)
 
@@ -204,10 +277,11 @@ def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
         raise Composed()
 
     monkeypatch.setattr(constructions_mod, "compose", no_compose)
-    fam, plan = bootstrapped(23)
-    assert fam is None
-    assert plan.atoms_needed <= 62
-    assert plan.predicted_size == 2_458_624 > constructions_mod.MAX_MEMBERS
+    # k = 23 = 5 * 4 + 2 + 1: 29 atoms, under the atom cap
+    with pytest.raises(CapacityError, match=r"degree 23 needs 2458624 members \(limit 2097152\); "
+                                            r".* \* three, predicted size 2458624$"):
+        bootstrapped(23)
+    assert 2_458_624 > constructions_mod.MAX_MEMBERS
     # k = 22 (1,229,312 members) is still under the cap, so it gets built
     with pytest.raises(Composed):
         bootstrapped(22)
@@ -262,6 +336,23 @@ def test_reduce_postconditions_random():
         assert all(mem.atom_count <= 1 for mem in out.smalls())
         if all(mem.atom_count <= 1 for mem in a.smalls()):
             assert out == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reduce_postconditions_property(rng):
+    """The five postconditions: no growth, still a saturated antichain,
+    singleton smalls, reduced input left alone, and a trace that replays."""
+    a = random_saturated_antichain(rng)
+    out, trace = reduce_antichain(a)
+    assert out.size <= a.size
+    assert is_antichain(out)
+    assert is_saturated_antichain(out)[0]
+    assert all(mem.atom_count <= 1 for mem in out.smalls())
+    assert reduce_antichain(out) == (out, ReductionTrace(()))
+    if all(mem.atom_count <= 1 for mem in a.smalls()):
+        assert out == a
+    assert trace.replay(a) == out
 
 
 def test_reduce_is_deterministic():

@@ -79,6 +79,8 @@ def test_search_bounds_validation():
         SearchBounds(k=0, max_atoms=2, max_size=4)
     with pytest.raises(ValueError):
         SearchBounds(k=2, max_atoms=11, max_size=4)
+    with pytest.raises(ValueError, match=r"max_atoms must be in \[0, 8\]"):
+        SearchBounds(k=2, max_atoms=9, max_size=4)
     with pytest.raises(ValueError):
         SearchBounds(k=2, max_atoms=2, max_size=0)
     with pytest.raises(ValueError):
