@@ -151,8 +151,13 @@ def cmd_bounds(args) -> int:
             return EXIT_USAGE
         reports = bounds_mod.bound_table(lo, hi)
         if args.json:
-            print(json.dumps({"schema_version": 1,
-                              "rows": [r.to_json_dict() for r in reports]}, indent=2))
+            # the bytes of json.dumps({"schema_version": 1, "rows": [...]}, indent=2),
+            # one row at a time
+            sys.stdout.write('{\n  "schema_version": 1,\n  "rows": [')
+            for i, report in enumerate(reports):
+                row = json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")
+                sys.stdout.write(("\n    " if i == 0 else ",\n    ") + row)
+            sys.stdout.write("\n  ]\n}\n")
         else:
             print(_BOUNDS_HEADER)
             for report in reports:

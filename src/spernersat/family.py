@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import SCAN_MAX_ATOMS, WORD_BITS, closure, contains, pack
+
 MAX_ATOMS = 62
 
 
@@ -179,15 +181,58 @@ def is_antichain(f: Family) -> bool:
     return first_contained_pair(f.members) is None
 
 
+def _lattice_keys(members):
+    """(bits, keys): each member's atom mask with H as one more bit,
+    squeezed onto the bits the members use, so that a member properly
+    contains another exactly when its key is a proper bit-superset.  Keys
+    are ints when their lattice fits one word, else an int64 array."""
+    h_bit = 1 << MAX_ATOMS
+    keys = [mem.atom_mask | (h_bit if mem.has_H else 0) for mem in members]
+    used = 0
+    for key in keys:
+        used |= key
+    atoms = (used & ~h_bit).bit_count()
+    if atoms > SCAN_MAX_ATOMS:
+        raise CapacityError(f"members use {atoms} atoms, more than the {SCAN_MAX_ATOMS} "
+                            "the depth tables allow")
+    # the bits below the lowest unused one stay; the used ones above move down
+    placed = (~used & (used + 1)).bit_length() - 1
+    moves = list(enumerate(atoms_of_mask(used >> placed << placed), start=placed))
+
+    def squeeze(key):
+        out = key & ((1 << placed) - 1)
+        for i, atom in moves:
+            out |= ((key >> (atom - 1)) & 1) << i
+        return out
+
+    bits = used.bit_count()
+    if bits <= WORD_BITS:
+        return bits, [squeeze(key) for key in keys]
+    return bits, squeeze(np.array(keys, dtype=np.int64))
+
+
 def member_depths(members) -> np.ndarray:
     """depth[i] = number of members on the longest chain ending at members[i].
-    Members must be duplicate-free and sorted in canonical order, so the
-    members properly inside members[j] are exactly the earlier ones whose
-    key (atom mask, with H as bit MAX_ATOMS) is a bit-subset of its key."""
-    keys = np.array([mem.atom_mask | (mem.has_H << MAX_ATOMS) for mem in members], dtype=np.int64)
+
+    Members must be duplicate-free.  Levels are peeled on the subset lattice
+    of their keys: A_1 is every member, and A_{d+1} the members of A_d that
+    properly contain a member of A_d, the ones its strict up-closure holds.
+    A member's depth is the number of levels it is in.  Raises
+    CapacityError, before building any table, when the members use more
+    than SCAN_MAX_ATOMS atoms."""
+    bits, keys = _lattice_keys(members)
+    level = pack(keys, bits)
+    if bits <= WORD_BITS:
+        depth = [0] * len(keys)
+        while level:
+            for i, key in enumerate(keys):
+                depth[i] += (level >> key) & 1
+            level &= closure(level, bits, upward=True, strict=True)[1]
+        return np.array(depth, dtype=np.int64)
     depth = np.zeros(len(keys), dtype=np.int64)
-    for j in range(len(keys)):
-        depth[j] = 1 + depth[:j][(keys[:j] & ~keys[j]) == 0].max(initial=0)
+    while (hits := contains(level, keys)).any():
+        depth += hits
+        level &= closure(level, bits, upward=True, strict=True)[1]
     return depth
 
 
@@ -206,10 +251,10 @@ def canonical_decomposition(f: Family) -> LayerDecomposition:
     if not f.members:
         raise ValueError("cannot decompose an empty family")
     depth = member_depths(f.members)
-    layers = []
-    for level in range(1, int(depth.max()) + 1):
-        layers.append(Family(f.m, tuple(mem for mem, d in zip(f.members, depth) if d == level)))
-    return LayerDecomposition(tuple(layers), f)
+    layers = [[] for _ in range(int(depth.max()))]
+    for mem, d in zip(f.members, depth.tolist()):
+        layers[d - 1].append(mem)
+    return LayerDecomposition(tuple(Family(f.m, tuple(layer)) for layer in layers), f)
 
 
 def is_layered(layers, *, small_only: bool = False) -> bool:

@@ -29,43 +29,19 @@ from .family import (
     _parse_members,
     atoms_of_mask,
     canonical_decomposition,
-    is_antichain,
+    member_depths,
 )
+from .lattice import SCAN_MAX_ATOMS, closure, first_hole, pack
 
-# 2^m exhaustive scans and 2^n oracle tables stay tractable up to here.
-SCAN_MAX_ATOMS = 24
+# 2^n oracle tables stay tractable up to here.
 ORACLE_MAX_GROUND = 24
-
-
-def _closure(seed: np.ndarray, m: int, upward: bool) -> np.ndarray:
-    """In place: seed[T] true iff some originally-true S is a subset of T
-    (upward) or a superset of T (downward)."""
-    lo, hi = (0, 1) if upward else (1, 0)
-    for b in range(m):
-        view = seed.reshape(-1, 2, 1 << b)
-        view[:, hi, :] |= view[:, lo, :]
-    return seed
 
 
 def _first_uncovered(layer: Family) -> int | None:
     """Mask of the first uncovered atom subset in canonical order, or None."""
-    size = 1 << layer.m
-    covered = np.zeros(size, dtype=bool)
-    small_masks = [mem.atom_mask for mem in layer.smalls()]
-    if small_masks:
-        up = np.zeros(size, dtype=bool)
-        up[small_masks] = True
-        covered |= _closure(up, layer.m, upward=True)
-    large_masks = [mem.atom_mask for mem in layer.larges()]
-    if large_masks:
-        down = np.zeros(size, dtype=bool)
-        down[large_masks] = True
-        covered |= _closure(down, layer.m, upward=False)
-    holes = np.flatnonzero(~covered)
-    if not holes.size:
-        return None
-    # argmin keeps the first of the fewest-atom holes, and holes ascend
-    return int(holes[np.argmin(np.bitwise_count(holes))])
+    covered = closure(pack([mem.atom_mask for mem in layer.smalls()], layer.m), layer.m, upward=True)
+    covered |= closure(pack([mem.atom_mask for mem in layer.larges()], layer.m), layer.m, upward=False)
+    return first_hole(covered, layer.m)
 
 
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
@@ -75,7 +51,8 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     an antichain, and CapacityError if the universe is too large to scan."""
     if layer.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {layer.m} is too large for the exhaustive scan")
-    if not is_antichain(layer):
+    # one level of the depth peeling: no member is on a second level
+    if layer.members and member_depths(layer.members).max() > 1:
         raise ValueError("input is not an antichain")
     witness = _first_uncovered(layer)
     return witness is None, witness
@@ -339,7 +316,7 @@ def find_atoms(c: ConcreteFamily) -> AtomPartition:
 def _oracle_strict_max(table: np.ndarray, n: int, from_below: bool) -> np.ndarray:
     """Closes table in place to the max over subsets (from_below) or
     supersets of each T, and returns the max over proper ones (0 if none).
-    Kept apart from the verifier's _closure so the oracle stays independent."""
+    Kept apart from the verifier's lattice closure so the oracle stays independent."""
     strict = np.zeros_like(table)
     lo, hi = (0, 1) if from_below else (1, 0)
     for b in range(n):

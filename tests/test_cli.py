@@ -150,6 +150,17 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+def test_bounds_table_json_is_streamed_with_the_bytes_of_one_dump(capsys):
+    from spernersat import bound_table
+    code, out, _ = run(capsys, "bounds", "--table", "7..60", "--json")
+    assert code == 0
+    whole = {"schema_version": 1, "rows": [r.to_json_dict() for r in bound_table(7, 60)]}
+    assert out == json.dumps(whole, indent=2) + "\n"
+    code, out, _ = run(capsys, "bounds", "--table", "7..7", "--json")
+    assert out == json.dumps({"schema_version": 1, "rows": [bound_table(7, 7)[0].to_json_dict()]},
+                             indent=2) + "\n"
+
+
 def test_bounds_json_has_no_infinity(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "2100", "--json")
     assert code == 0
@@ -243,14 +254,14 @@ def test_format_and_usage_errors(tmp_path, capsys):
 
 def test_capacity_refusals_exit_5(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
-    wide.write_text("universe 25\nempty\nH\n")
+    wide.write_text("universe 29\nempty\nH\n")
     code, out, err = run(capsys, "verify", "--k", "2", "--in", str(wide))
     assert code == 5
     assert out == ""
-    assert err == "capacity error: universe of size 25 is too large for the exhaustive scan\n"
+    assert err == "capacity error: universe of size 29 is too large for the exhaustive scan\n"
     code, out, err = run(capsys, "reduce", "--in", str(wide))
     assert code == 5
-    assert err == "capacity error: universe of size 25 is too large for the exhaustive scan\n"
+    assert err == "capacity error: universe of size 29 is too large for the exhaustive scan\n"
 
     path = tmp_path / "seven56.txt"
     run(capsys, "construct", "--kind", "seven56", "--out", str(path))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from spernersat import (
     MAX_ATOMS,
+    SCAN_MAX_ATOMS,
+    CapacityError,
     Family,
     FamilyFormatError,
     Member,
@@ -188,6 +190,45 @@ def test_member_depths_match_longest_chain_definition(members):
                        default=0)
 
     assert member_depths(f.members).tolist() == [longest_ending_at(mem) for mem in f.members]
+
+
+# Masks over atoms 1..7 and the top two: with H up to ten key bits, so the
+# depth pass runs on word tables and squeezes out the unused atoms between.
+_WIDE_BITS = (*range(7), MAX_ATOMS - 2, MAX_ATOMS - 1)
+_wide_members = st.builds(
+    lambda bits, has_h: Member(sum(1 << b for b in bits), has_h),
+    st.sets(st.sampled_from(_WIDE_BITS)), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(_wide_members, max_size=40))
+def test_member_depths_on_word_tables_match_longest_chain_definition(members):
+    f = Family(MAX_ATOMS, tuple(members))
+
+    @cache
+    def longest_ending_at(mem):
+        return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
+                       default=0)
+
+    assert member_depths(f.members).tolist() == [longest_ending_at(mem) for mem in f.members]
+
+
+def test_member_depths_refuses_too_many_atoms_before_building_a_table(monkeypatch):
+    import spernersat.family as family_mod
+
+    def no_table(points, m):
+        raise AssertionError(f"a {m}-bit table was requested")
+
+    monkeypatch.setattr(family_mod, "pack", no_table)
+    # one singleton per atom: 29 atoms are refused, whatever the atoms' positions
+    wide = [Member(1 << (2 * i), i % 2 == 0) for i in range(SCAN_MAX_ATOMS + 1)]
+    with pytest.raises(CapacityError, match="members use 29 atoms, more than the 28 the depth tables allow"):
+        member_depths(wide)
+    with pytest.raises(CapacityError):
+        longest_chain_length(Family(MAX_ATOMS, tuple(wide)))
+    # 28 atoms pass the guard: the table (28 atoms and H) is the next step
+    with pytest.raises(AssertionError, match="a 29-bit table was requested"):
+        member_depths(wide[1:])
 
 
 def test_member_depths_memory_is_linear():

@@ -1,7 +1,8 @@
-"""The two butterfly kernels against direct O(4^m) definitions, the
-oracle's chain depths against a memoized longest-chain definition, and the
-guards on what the layer verifier reaches: nothing of the brute-force
-oracle, and no pair scan on its own layers."""
+"""The packed lattice kernels and the oracle's butterfly against direct
+O(4^m) definitions, the oracle's chain depths against a memoized
+longest-chain definition, and the guards on what the layer verifier
+reaches: nothing of the brute-force oracle, and no pair scan on its own
+layers."""
 
 import inspect
 import types
@@ -12,13 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spernersat import saturation
-from spernersat.saturation import ConcreteFamily, _closure, _oracle_depths, _oracle_strict_max
+from spernersat import Family, Member
+from spernersat.lattice import closure, first_hole, pack
+from spernersat.saturation import ConcreteFamily, _first_uncovered, _oracle_depths, _oracle_strict_max
 
 
-def _tables(elements):
-    # (m, table of 2^m entries) for m = 0..6
-    return st.integers(0, 6).flatmap(
+def _tables(elements, max_m=6):
+    # (m, table of 2^m entries) for m = 0..max_m
+    return st.integers(0, max_m).flatmap(
         lambda m: st.tuples(st.just(m), st.lists(elements, min_size=1 << m, max_size=1 << m)))
+
+
+def _unpack(table, m: int) -> list[bool]:
+    # the 2^m points of a packed table, one int below 64 points, words above
+    if isinstance(table, int):
+        return [bool((table >> t) & 1) for t in range(1 << m)]
+    return [bool((int(table[t >> 6]) >> (t & 63)) & 1) for t in range(1 << m)]
 
 
 def _related(s: int, t: int, from_below: bool) -> bool:
@@ -26,14 +36,57 @@ def _related(s: int, t: int, from_below: bool) -> bool:
     return (s & ~t == 0) if from_below else (t & ~s == 0)
 
 
+# m up to 8, so the word-level steps (bits 6 and 7) run as well as the in-word shifts
 @settings(max_examples=200, deadline=None)
-@given(_tables(st.booleans()), st.booleans())
+@given(_tables(st.booleans(), max_m=8), st.booleans())
 def test_verifier_closure_matches_definition(case, upward):
     m, values = case
-    got = _closure(np.array(values, dtype=bool), m, upward=upward)
+    table = pack([t for t, v in enumerate(values) if v], m)
+    before = _unpack(table, m)
+    incl, proper = closure(table, m, upward=upward, strict=True)
     size = 1 << m
     want = [any(values[s] for s in range(size) if _related(s, t, upward)) for t in range(size)]
-    assert got.tolist() == want
+    want_proper = [any(values[s] for s in range(size) if s != t and _related(s, t, upward))
+                   for t in range(size)]
+    assert _unpack(incl, m) == want
+    assert _unpack(proper, m) == want_proper
+    assert _unpack(closure(table, m, upward=upward), m) == want
+    assert _unpack(table, m) == before == values
+
+
+@st.composite
+def _nearly_full_tables(draw):
+    # every point but a few holes, so that most words are all ones
+    m = draw(st.integers(0, 8))
+    holes = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=4))
+    return m, [t not in holes for t in range(1 << m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_tables(st.booleans(), max_m=8), _nearly_full_tables()))
+def test_first_hole_is_the_lightest_then_lowest_missing_point(case):
+    m, values = case
+    holes = [t for t, v in enumerate(values) if not v]
+    got = first_hole(pack([t for t, v in enumerate(values) if v], m), m)
+    assert got == min(holes, key=lambda t: (t.bit_count(), t), default=None)
+
+
+@st.composite
+def _layers(draw):
+    # arbitrary members over m <= 8 atoms: one or two words of points and more
+    m = draw(st.integers(0, 8))
+    members = draw(st.sets(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()), max_size=12))
+    return Family(m, tuple(Member(mask, has_h) for mask, has_h in members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layers())
+def test_first_uncovered_matches_definition(layer):
+    def covered(t):
+        return (any(mem.atom_mask & ~t == 0 for mem in layer.smalls())
+                or any(t & ~mem.atom_mask == 0 for mem in layer.larges()))
+    holes = [t for t in range(1 << layer.m) if not covered(t)]
+    assert _first_uncovered(layer) == min(holes, key=lambda t: (t.bit_count(), t), default=None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,7 +154,7 @@ def test_oracle_shares_no_function_with_the_verifier():
     oracle = _reachable(saturation.brute_force_saturated)
     verifier = _reachable(saturation.verify_saturated_k_sperner)
     assert "spernersat.saturation._oracle_strict_max" in oracle
-    assert "spernersat.saturation._closure" in verifier
+    assert "spernersat.lattice.closure" in verifier
     assert "spernersat.family.member_depths" in verifier
     assert oracle.isdisjoint(verifier), oracle & verifier
 

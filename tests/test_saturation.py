@@ -2,6 +2,7 @@
 probabilistic helpers."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from spernersat import (
     ConcreteFamily,
     Family,
     Member,
+    bootstrapped,
     brute_force_saturated,
     canonical_decomposition,
     eps_of,
@@ -97,6 +99,23 @@ def test_saturated_antichain_rejects_non_antichain():
         is_saturated_antichain(Family(2, (Member(0b01, False), Member(0b11, False))))
 
 
+def test_antichain_check_is_not_quadratic():
+    # the middle layer of 16 atoms: 12,870 smalls, no large, so every set of
+    # fewer than 8 atoms is uncovered and the empty set comes first
+    middle = [Member(mask, False) for mask in range(1 << 16) if mask.bit_count() == 8]
+    layer = Family(16, tuple(middle))
+    assert layer.size == 12870
+    start = time.perf_counter()
+    assert is_saturated_antichain(layer) == (False, 0)
+    assert time.perf_counter() - start < 0.5
+    # one member above the layer makes it a chain of two
+    with pytest.raises(ValueError, match="input is not an antichain"):
+        is_saturated_antichain(Family(16, (*middle, Member(0x1FF, False))))
+    # and so does a large on a small's atoms
+    with pytest.raises(ValueError, match="input is not an antichain"):
+        is_saturated_antichain(Family(16, (*middle, Member(middle[-1].atom_mask, True))))
+
+
 def test_saturated_antichain_agrees_with_degree_one_oracle():
     """A layer is saturated exactly when it is a saturated 1-Sperner system."""
     rng = random.Random(8101)
@@ -162,8 +181,8 @@ def test_verify_refuses_large_universe_before_decomposing(monkeypatch):
         raise AssertionError("decomposition ran before the size check")
 
     monkeypatch.setattr(saturation_mod, "canonical_decomposition", no_decomposition)
-    big = Family(25, (Member(0, False), Member((1 << 25) - 1, True)))
-    with pytest.raises(ValueError, match="universe of size 25 is too large for the exhaustive scan"):
+    big = Family(29, (Member(0, False), Member((1 << 29) - 1, True)))
+    with pytest.raises(ValueError, match="universe of size 29 is too large for the exhaustive scan"):
         verify_saturated_k_sperner(big, 2)
 
 
@@ -322,14 +341,24 @@ def test_brute_force_tables_memory():
     assert peak < 8 * 2**20, peak
 
 
+@pytest.mark.parametrize("k", range(2, 17))
+def test_verifier_matches_oracle_on_bootstrapped(k):
+    # the paper's construction, checked against the oracle at |H| = 2
+    f, _ = bootstrapped(k)
+    concrete = instantiate(f, 2)
+    for probe in (k - 1, k, k + 1):
+        assert verify_saturated_k_sperner(f, probe).verdict == (probe == k)
+        assert brute_force_saturated(concrete, probe) == (probe == k)
+
+
 def test_capacity_refusals_are_capacity_errors():
     assert issubclass(CapacityError, ValueError)
     big = Family(SCAN_MAX_ATOMS + 1, (Member(0, False),))
-    with pytest.raises(CapacityError, match="universe of size 25 is too large for the exhaustive scan"):
+    with pytest.raises(CapacityError, match="universe of size 29 is too large for the exhaustive scan"):
         verify_saturated_k_sperner(big, 1)
     # refused before the pair scan, so a comparable pair does not matter
     chain = Family(SCAN_MAX_ATOMS + 1, (Member(0, False), Member(1, False)))
-    with pytest.raises(CapacityError, match="universe of size 25 is too large for the exhaustive scan"):
+    with pytest.raises(CapacityError, match="universe of size 29 is too large for the exhaustive scan"):
         is_saturated_antichain(chain)
     with pytest.raises(CapacityError, match="ground set of size 27 exceeds the oracle limit 24"):
         instantiate(seven56(), 20)
