@@ -23,7 +23,7 @@ both well inside the 1e-12 absolute-error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .family import CapacityError
 
@@ -175,12 +175,7 @@ class ThresholdScan:
     margins: dict[int, float]  # erf_lower_bound_log2(k) - (k/2 + log2(k)/2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "k_max": self.k_max,
-            "threshold": self.threshold,
-            "margins": {str(k): v for k, v in sorted(self.margins.items())},
-        }
+        return _json_document(self)
 
 
 def find_threshold(k_max: int) -> ThresholdScan:
@@ -189,9 +184,7 @@ def find_threshold(k_max: int) -> ThresholdScan:
     if k_max < 7:
         raise ValueError("k_max must be >= 7")
     _check_terms(k_max - 6, f"threshold scan up to {k_max}")
-    margins = {}
-    for k in range(7, k_max + 1):
-        margins[k] = erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k))
+    margins = {k: erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k)) for k in range(7, k_max + 1)}
     threshold = None
     for k in range(k_max, 6, -1):
         if margins[k] < 0.0:
@@ -216,40 +209,37 @@ class BoundReport:
     upper_log2: float
     eps_new: float
     eps_mns: float
-    margin_upper: float
-    layer_bounds_log2: dict[int, float] | None
-    sum_lower: float | None
-    sum_lower_log2: float | None
-    erf_lower_log2: float | None
-    claimed_lower_log2_166: float | None
-    claimed_lower_log2: float | None
-    margin_166: float | None
-    margin_497: float | None
+    margin_upper: float = field(metadata={"margin": "upper_vs_eps"})
+    layer_bounds_log2: dict[int, float] | None = None
+    sum_lower: float | None = None
+    sum_lower_log2: float | None = None
+    erf_lower_log2: float | None = None
+    claimed_lower_log2_166: float | None = None
+    claimed_lower_log2: float | None = None
+    margin_166: float | None = field(default=None, metadata={"margin": "erf_vs_166"})
+    margin_497: float | None = field(default=None, metadata={"margin": "erf_vs_497"})
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "k": self.k,
-            "baseline_lower_log2": self.baseline_lower_log2,
-            "j": self.j,
-            "s": self.s,
-            "upper_log2": self.upper_log2,
-            "eps_new": self.eps_new,
-            "eps_mns": self.eps_mns,
-            "layer_bounds_log2": None if self.layer_bounds_log2 is None else {
-                str(i): v for i, v in sorted(self.layer_bounds_log2.items())
-            },
-            "sum_lower": None if self.sum_lower == math.inf else self.sum_lower,
-            "sum_lower_log2": self.sum_lower_log2,
-            "erf_lower_log2": self.erf_lower_log2,
-            "claimed_lower_log2_166": self.claimed_lower_log2_166,
-            "claimed_lower_log2": self.claimed_lower_log2,
-            "margins": {
-                "upper_vs_eps": self.margin_upper,
-                "erf_vs_166": self.margin_166,
-                "erf_vs_497": self.margin_497,
-            },
-        }
+        return _json_document(self)
+
+
+def _json_document(report) -> dict:
+    """schema_version, then the report's fields in declaration order: a dict
+    with its keys as strings, inf as null, and the fields that carry a
+    margin name in their metadata under "margins", by that name."""
+    out = {"schema_version": 1}
+    margins = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if "margin" in f.metadata:
+            margins[f.metadata["margin"]] = value
+        elif isinstance(value, dict):
+            out[f.name] = {str(i): v for i, v in sorted(value.items())}
+        else:
+            out[f.name] = None if value == math.inf else value
+    if margins:
+        out["margins"] = margins
+    return out
 
 
 def upper_bound_report(k: int) -> BoundReport:
@@ -260,32 +250,20 @@ def upper_bound_report(k: int) -> BoundReport:
     _check_terms(k // 2, f"degree {k}")
     j, s = divmod(k - 2, 5)
     upper_log2 = (s + 1) + j * math.log2(28.0)
-    margin_upper = (1.0 - EPS_NEW) * k - upper_log2
-    baseline = k / 2.0 - 0.5
-    if k < 7:
-        return BoundReport(
-            k=k, baseline_lower_log2=baseline, j=j, s=s, upper_log2=upper_log2,
-            eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=margin_upper,
-            layer_bounds_log2=None, sum_lower=None, sum_lower_log2=None,
-            erf_lower_log2=None, claimed_lower_log2_166=None,
-            claimed_lower_log2=None, margin_166=None, margin_497=None,
+    lower = {}
+    if k >= 7:
+        sum_log2 = _sum_lower_log2(k)
+        erf_log2 = erf_lower_bound_log2(k)
+        claimed = k / 2.0 + 0.5 * math.log2(k)
+        lower = dict(
+            layer_bounds_log2={i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)},
+            sum_lower=_linear(sum_log2), sum_lower_log2=sum_log2, erf_lower_log2=erf_log2,
+            claimed_lower_log2_166=claimed - 1.66, claimed_lower_log2=claimed,
+            margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,
         )
-    layer_bounds = {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
-    sum_log2 = _sum_lower_log2(k)
-    erf_log2 = erf_lower_bound_log2(k)
-    claimed_166 = k / 2.0 + 0.5 * math.log2(k) - 1.66
-    claimed = k / 2.0 + 0.5 * math.log2(k)
     return BoundReport(
-        k=k, baseline_lower_log2=baseline, j=j, s=s, upper_log2=upper_log2,
-        eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=margin_upper,
-        layer_bounds_log2=layer_bounds,
-        sum_lower=_linear(sum_log2),
-        sum_lower_log2=sum_log2,
-        erf_lower_log2=erf_log2,
-        claimed_lower_log2_166=claimed_166,
-        claimed_lower_log2=claimed,
-        margin_166=erf_log2 - claimed_166,
-        margin_497=erf_log2 - claimed,
+        k=k, baseline_lower_log2=k / 2.0 - 0.5, j=j, s=s, upper_log2=upper_log2,
+        eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=(1.0 - EPS_NEW) * k - upper_log2, **lower,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
@@ -31,9 +32,11 @@ EXIT_BUDGET = 4
 EXIT_CAPACITY = 5
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes; the parsers decode them and report a byte that is
+    not UTF-8 as a format error on its line."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise FamilyFormatError(f"cannot read {path}: {exc.strerror}", 0) from exc
@@ -48,7 +51,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_family(path: str) -> Family:
-    return parse_family(_read_text(path))
+    return parse_family(_read_bytes(path))
 
 
 def cmd_verify(args) -> int:
@@ -129,11 +132,25 @@ def _bounds_row(report) -> str:
     ])
 
 
+def _write_json_streamed(doc: dict, entries) -> None:
+    """Write json.dumps(doc, indent=2) and a newline, where the last value of
+    doc, an empty list or dict, stands for the encoded entries, written one
+    at a time.  entries must not be empty."""
+    text = json.dumps(doc, indent=2)
+    sys.stdout.write(text[:-3])
+    for i, entry in enumerate(entries):
+        sys.stdout.write(("\n    " if i == 0 else ",\n    ") + entry.replace("\n", "\n    "))
+    sys.stdout.write("\n  " + text[-3:] + "\n")
+
+
 def cmd_bounds(args) -> int:
     if args.threshold is not None:
         scan = bounds_mod.find_threshold(args.threshold)
         if args.json:
-            print(json.dumps(scan.to_json_dict(), indent=2))
+            # the scan's document with its margins written one at a time; find_threshold
+            # adds them in ascending k, the order to_json_dict sorts them in
+            _write_json_streamed(replace(scan, margins={}).to_json_dict(),
+                                 (f'"{k}": {json.dumps(v)}' for k, v in scan.margins.items()))
         else:
             print(f"threshold: {scan.threshold}")
             if scan.threshold is not None and scan.threshold > 7:
@@ -151,13 +168,8 @@ def cmd_bounds(args) -> int:
             return EXIT_USAGE
         reports = bounds_mod.bound_table(lo, hi)
         if args.json:
-            # the bytes of json.dumps({"schema_version": 1, "rows": [...]}, indent=2),
-            # one row at a time
-            sys.stdout.write('{\n  "schema_version": 1,\n  "rows": [')
-            for i, report in enumerate(reports):
-                row = json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")
-                sys.stdout.write(("\n    " if i == 0 else ",\n    ") + row)
-            sys.stdout.write("\n  ]\n}\n")
+            _write_json_streamed({"schema_version": 1, "rows": []},
+                                 (json.dumps(report.to_json_dict(), indent=2) for report in reports))
         else:
             print(_BOUNDS_HEADER)
             for report in reports:
@@ -197,7 +209,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_atoms(args) -> int:
-    concrete = parse_concrete(_read_text(args.infile))
+    concrete = parse_concrete(_read_bytes(args.infile))
     partition = find_atoms(concrete)
     if args.json:
         print(json.dumps({

@@ -34,12 +34,23 @@ from .saturation import is_saturated_antichain
 MAX_MEMBERS = 1 << 21
 
 
+def _check_capacity(k: int, atoms: int, size: int, detail: str = "") -> None:
+    """Refuse a degree-k system of more than MAX_ATOMS atoms or MAX_MEMBERS
+    members, from its counts alone."""
+    for need, unit, limit in ((atoms, "atoms", MAX_ATOMS), (size, "members", MAX_MEMBERS)):
+        if need > limit:
+            raise CapacityError(f"degree {k} needs {need} {unit} (limit {limit}){detail}")
+
+
 def trivial_construction(k: int) -> Family:
     """All subsets of k-2 atoms as smalls, plus their complements: the
-    2^(k-1)-member baseline, saturated with k layers."""
+    2^(k-1)-member baseline, saturated with k layers.  Raises CapacityError,
+    before building anything, beyond MAX_ATOMS atoms or MAX_MEMBERS members
+    (from k = 23 on)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     m = k - 2
+    _check_capacity(k, m, 1 << (k - 1))
     smalls = [Member(mask, False) for mask in range(1 << m)]
     members = smalls + [complement_member(mem, m) for mem in smalls]
     return Family(m, tuple(members))
@@ -132,12 +143,8 @@ def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    for need, unit, limit in ((plan.atoms_needed, "atoms", MAX_ATOMS),
-                              (plan.predicted_size, "members", MAX_MEMBERS)):
-        if need > limit:
-            raise CapacityError(f"degree {k} needs {need} {unit} (limit {limit}); "
-                                f"plan: {' * '.join(plan.factors)}, "
-                                f"predicted size {plan.predicted_size}")
+    _check_capacity(k, plan.atoms_needed, plan.predicted_size,
+                    f"; plan: {' * '.join(plan.factors)}, predicted size {plan.predicted_size}")
     family = trivial_construction(2)
     for _ in range(j):
         family = compose(family, seven56())

@@ -275,11 +275,21 @@ def is_layered(layers, *, small_only: bool = False) -> bool:
     return True
 
 
+def _next_line(prefix: str) -> int:
+    """1-based line of the character that would follow prefix, counted the
+    way splitlines numbers the parser's lines."""
+    return len((prefix + ".").splitlines())
+
+
 def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
     """The one tokenizer of the text format: (m, members in file order).
     Without allow_H an 'H' token is malformed."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"byte 0x{text[exc.start]:02x} is not valid UTF-8",
+                                    _next_line(text[:exc.start].decode("utf-8"))) from None
     m = None
     members = []
     seen: set[Member] = set()
@@ -327,7 +337,7 @@ def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
         seen.add(member)
         members.append(member)
     if m is None:
-        raise FamilyFormatError("missing 'universe <m>' header", max(1, text.count("\n") + 1))
+        raise FamilyFormatError("missing 'universe <m>' header", _next_line(text))
     return m, members
 
 

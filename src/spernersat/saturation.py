@@ -16,7 +16,7 @@ works on raw subsets of {1..n} and never consults the layer machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +62,24 @@ WRONG_LAYER_COUNT = "WRONG_LAYER_COUNT"
 LAYER_NOT_SATURATED = "LAYER_NOT_SATURATED"
 
 
+def _json_fields(report) -> dict:
+    """A report's fields in declaration order as JSON values: witness_mask
+    as its atom list under "witness", a tuple of reports as the list of
+    theirs, and fields marked json=False left out."""
+    out = {}
+    for f in fields(report):
+        if not f.metadata.get("json", True):
+            continue
+        value = getattr(report, f.name)
+        if f.name == "witness_mask":
+            out["witness"] = None if value is None else list(atoms_of_mask(value))
+        elif isinstance(value, tuple):
+            out[f.name] = [_json_fields(item) for item in value]
+        else:
+            out[f.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class LayerReport:
     index: int
@@ -95,7 +113,7 @@ class VerificationReport:
     layer_count: int
     layers: tuple[LayerReport, ...]
     reasons: tuple[Reason, ...]
-    decomposition: LayerDecomposition
+    decomposition: LayerDecomposition = field(metadata={"json": False})
 
     @property
     def failure_witness_mask(self) -> int | None:
@@ -105,32 +123,7 @@ class VerificationReport:
         return None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "verdict": self.verdict,
-            "k": self.k,
-            "layer_count": self.layer_count,
-            "layers": [
-                {
-                    "index": lr.index,
-                    "size": lr.size,
-                    "small": lr.small,
-                    "large": lr.large,
-                    "antichain": lr.antichain,
-                    "saturated": lr.saturated,
-                    "witness": None if lr.witness_mask is None else list(atoms_of_mask(lr.witness_mask)),
-                }
-                for lr in self.layers
-            ],
-            "reasons": [
-                {
-                    "code": r.code,
-                    "layer": r.layer,
-                    "witness": None if r.witness_mask is None else list(atoms_of_mask(r.witness_mask)),
-                }
-                for r in self.reasons
-            ],
-        }
+        return {"schema_version": 1, **_json_fields(self)}
 
 
 def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
@@ -159,18 +152,11 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         ))
         if witness is not None:
             reasons.append(Reason(LAYER_NOT_SATURATED, layer=index, witness_mask=witness))
-    layer_count = decomposition.layer_count
-    if layer_count != k:
+    if decomposition.layer_count != k:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
-    verdict = not reasons
-    return VerificationReport(
-        verdict=verdict,
-        k=k,
-        layer_count=layer_count,
-        layers=tuple(layer_reports),
-        reasons=tuple(reasons),
-        decomposition=decomposition,
-    )
+    return VerificationReport(verdict=not reasons, k=k, layer_count=decomposition.layer_count,
+                              layers=tuple(layer_reports), reasons=tuple(reasons),
+                              decomposition=decomposition)
 
 
 @dataclass(frozen=True)

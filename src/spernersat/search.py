@@ -46,7 +46,7 @@ from itertools import permutations
 import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
-from .family import MAX_ATOMS, Family, Member, member_depths  # noqa: F401
+from .family import MAX_ATOMS, CapacityError, Family, Member, member_depths  # noqa: F401
 from .saturation import _layer1_shape, verify_saturated_k_sperner
 
 FOUND = "FOUND"
@@ -121,9 +121,10 @@ def _image_tables(m: int) -> list[bytes]:
 def canonical_form(f: Family) -> Family:
     """Least relabeling of the atoms: the member list whose canonical keys
     are lexicographically smallest over all m! atom permutations.  Two
-    families are isomorphic iff their canonical forms are equal."""
+    families are isomorphic iff their canonical forms are equal.  Raises
+    CapacityError beyond CANONICAL_MAX_ATOMS atoms."""
     if f.m > CANONICAL_MAX_ATOMS:
-        raise ValueError(f"canonical form supports at most {CANONICAL_MAX_ATOMS} atoms")
+        raise CapacityError(f"canonical form supports at most {CANONICAL_MAX_ATOMS} atoms")
     best = min(sorted((mem.has_H, mem.atom_count, table[mem.atom_mask]) for mem in f.members)
                for table in _image_tables(f.m))
     return Family(f.m, tuple(Member(mask, has_h) for has_h, _, mask in best))

@@ -252,6 +252,39 @@ def test_format_and_usage_errors(tmp_path, capsys):
     assert "error" in err
 
 
+def test_undecodable_file_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"universe 2\n1 \xff\n")
+    for command in (["verify", "--k", "2"], ["atoms"]):
+        code, out, err = run(capsys, *command, "--in", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "format error: line 2: byte 0xff is not valid UTF-8\n"
+
+
+def test_crlf_file_verifies_as_its_lf_form(tmp_path, capsys):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    text = serialize_family(seven56())
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    outputs = [run(capsys, "verify", "--k", "7", "--in", str(path), "--json") for path in (lf, crlf)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_construct_trivial_refuses_beyond_member_cap(monkeypatch, capsys):
+    import spernersat.constructions as constructions_mod
+
+    def no_member(*args):
+        raise AssertionError("a member was built past the member cap")
+
+    monkeypatch.setattr(constructions_mod, "Member", no_member)
+    code, out, err = run(capsys, "construct", "--kind", "trivial", "--k", "30")
+    assert code == 5
+    assert out == ""
+    assert err == "capacity error: degree 30 needs 536870912 members (limit 2097152)\n"
+
+
 def test_capacity_refusals_exit_5(tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text("universe 29\nempty\nH\n")

@@ -287,6 +287,28 @@ def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
         bootstrapped(22)
 
 
+
+def test_trivial_construction_member_cap_is_checked_before_building(monkeypatch):
+    import spernersat.constructions as constructions_mod
+
+    class Built(Exception):
+        pass
+
+    def no_member(*args):
+        raise Built()
+
+    monkeypatch.setattr(constructions_mod, "Member", no_member)
+    with pytest.raises(CapacityError, match=r"^degree 30 needs 536870912 members \(limit 2097152\)$"):
+        trivial_construction(30)
+    with pytest.raises(CapacityError, match=r"^degree 23 needs 4194304 members \(limit 2097152\)$"):
+        trivial_construction(23)
+    with pytest.raises(CapacityError, match=r"^degree 100 needs 98 atoms \(limit 62\)$"):
+        trivial_construction(100)
+    # k = 22 (2^21 members) is at the cap, so it gets built
+    with pytest.raises(Built):
+        trivial_construction(22)
+
+
 # ----------------------------------------------------------- reduction
 
 def test_reduce_identity_on_singleton_smalls():

@@ -398,6 +398,31 @@ def test_parse_error_positions():
             assert err.value.line == line, text
 
 
+def test_parse_names_the_line_of_an_undecodable_byte():
+    cases = [
+        (b"universe 2\n1 \xff\n", 2, "byte 0xff is not valid UTF-8"),
+        (b"\xffuniverse 2\n", 1, "byte 0xff is not valid UTF-8"),
+        (b"universe 2\r\n1\r\n\xc3", 3, "byte 0xc3 is not valid UTF-8"),
+        (b"# caf\xc3\xa9\runiverse 2\r2 \x80\n", 3, "byte 0x80 is not valid UTF-8"),
+    ]
+    for parse in (parse_family, parse_concrete):
+        for data, line, fragment in cases:
+            with pytest.raises(FamilyFormatError) as err:
+                parse(data)
+            assert err.value.line == line, data
+            assert str(err.value) == f"line {line}: {fragment}", data
+
+
+def test_parse_bytes_lf_and_crlf_alike():
+    text = "# seven56\n" + serialize_family(seven56())
+    for data in (text, text.encode(), text.replace("\n", "\r\n"),
+                 text.replace("\n", "\r\n").encode()):
+        assert parse_family(data) == seven56()
+    with pytest.raises(FamilyFormatError) as err:
+        parse_family(b"universe 2\r\n1 \r\n3\r\n")
+    assert err.value.line == 3
+
+
 def test_parse_h_alone_is_the_block():
     f = parse_family("universe 0\nH\nempty\n")
     assert set(f.members) == {Member(0, True), Member(0, False)}

@@ -72,6 +72,12 @@ def test_canonical_form_universe_cap():
         canonical_form(Family(9, (Member(0, False),)))
 
 
+def test_canonical_form_universe_cap_is_a_capacity_error():
+    from spernersat import CapacityError
+    with pytest.raises(CapacityError, match="canonical form supports at most 8 atoms"):
+        canonical_form(Family(9, (Member(0, False),)))
+
+
 # ------------------------------------------------------------ validation
 
 def test_search_bounds_validation():
