@@ -2,8 +2,9 @@
 
 The expected documents were captured from the CLI and are compared byte for
 byte: key order, float spelling, nulls and indentation.  They cover what
-the golden digests do not: false verdicts with witnesses, and single-k bound
-reports on both sides of k = 7 and past the point where sum_lower is inf.
+the golden digests do not: false verdicts with witnesses, single-k bound
+reports on both sides of k = 7 and past the point where sum_lower is inf,
+and the atom classes of a concrete family.
 """
 
 import json
@@ -133,6 +134,39 @@ BOUNDS_K7 = """\
 }
 """
 
+# Classes {1, 2} and {3, 4} are homogeneous; 5 is a singleton class.
+CONCRETE_FAMILY = "universe 5\n1 2\n3 4 5\n1 2 3 4\n"
+
+ATOMS_CLASSES = """\
+{
+  "schema_version": 1,
+  "n": 5,
+  "classes": [
+    [
+      1,
+      2
+    ],
+    [
+      3,
+      4
+    ],
+    [
+      5
+    ]
+  ],
+  "homogeneous": [
+    [
+      1,
+      2
+    ],
+    [
+      3,
+      4
+    ]
+  ]
+}
+"""
+
 
 def test_verify_json_bytes_of_a_false_verdict_with_witnesses(tmp_path, capsys):
     path = tmp_path / "f.txt"
@@ -165,3 +199,11 @@ def test_threshold_json_is_streamed_with_the_bytes_of_one_dump(capsys):
     code, out = run(capsys, "bounds", "--threshold", "60", "--json")
     assert code == 1
     assert out == json.dumps(find_threshold(60).to_json_dict(), indent=2) + "\n"
+
+
+def test_atoms_json_bytes_with_two_homogeneous_classes_and_a_singleton(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text(CONCRETE_FAMILY)
+    code, out = run(capsys, "atoms", "--in", str(path), "--json")
+    assert code == 0
+    assert out == ATOMS_CLASSES
