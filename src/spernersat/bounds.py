@@ -23,9 +23,10 @@ both well inside the 1e-12 absolute-error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .family import CapacityError
+from .saturation import _json_fields
 
 LN2 = math.log(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -114,12 +115,17 @@ def layer_lower_bound(i: int, k: int) -> float:
     return 2.0 ** (2.0 * i * (k - i - 1) / (k - 1))
 
 
-def _sum_lower_log2(k: int) -> float:
-    """log2 of sum_lower_bound(k), summed in log2 space so it never overflows."""
-    terms = [1.0, 1.0 + math.log2(k - 1.0)]
-    terms += [1.0 + 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, math.ceil((k - 1) / 2))]
+def _layer_bounds_log2(k: int) -> dict[int, float]:
+    """log2 of layer_lower_bound(i, k) for each i in [2, (k-1)//2]."""
+    return {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
+
+
+def _sum_lower_log2(k: int, layers: dict[int, float]) -> float:
+    """log2 of sum_lower_bound(k) from the exponents t of _layer_bounds_log2(k),
+    summed in log2 space: 2^(1+t) per layer and its mirror, 2^t at odd k's centre."""
+    terms = [1.0, 1.0 + math.log2(k - 1.0)] + [1.0 + t for t in layers.values()]
     if k % 2 == 1:
-        terms.append((k - 1) / 2.0)
+        terms[-1] = layers[(k - 1) // 2]
     peak = max(terms)
     return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
 
@@ -135,7 +141,7 @@ def sum_lower_bound(k: int) -> float:
     when k is odd.  inf from k = 2029 on, where the sum passes 2^1020."""
     if k < 7:
         raise ValueError("k must be >= 7")
-    return _linear(_sum_lower_log2(k))
+    return _linear(_sum_lower_log2(k, _layer_bounds_log2(k)))
 
 
 def _erf_bracket_parts(k: int) -> tuple[float, float]:
@@ -175,7 +181,7 @@ class ThresholdScan:
     margins: dict[int, float]  # erf_lower_bound_log2(k) - (k/2 + log2(k)/2)
 
     def to_json_dict(self) -> dict:
-        return _json_document(self)
+        return {"schema_version": 1, **_json_fields(self)}
 
 
 def find_threshold(k_max: int) -> ThresholdScan:
@@ -220,26 +226,7 @@ class BoundReport:
     margin_497: float | None = field(default=None, metadata={"margin": "erf_vs_497"})
 
     def to_json_dict(self) -> dict:
-        return _json_document(self)
-
-
-def _json_document(report) -> dict:
-    """schema_version, then the report's fields in declaration order: a dict
-    with its keys as strings, inf as null, and the fields that carry a
-    margin name in their metadata under "margins", by that name."""
-    out = {"schema_version": 1}
-    margins = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if "margin" in f.metadata:
-            margins[f.metadata["margin"]] = value
-        elif isinstance(value, dict):
-            out[f.name] = {str(i): v for i, v in sorted(value.items())}
-        else:
-            out[f.name] = None if value == math.inf else value
-    if margins:
-        out["margins"] = margins
-    return out
+        return {"schema_version": 1, **_json_fields(self)}
 
 
 def upper_bound_report(k: int) -> BoundReport:
@@ -252,11 +239,12 @@ def upper_bound_report(k: int) -> BoundReport:
     upper_log2 = (s + 1) + j * math.log2(28.0)
     lower = {}
     if k >= 7:
-        sum_log2 = _sum_lower_log2(k)
+        layers = _layer_bounds_log2(k)
+        sum_log2 = _sum_lower_log2(k, layers)
         erf_log2 = erf_lower_bound_log2(k)
         claimed = k / 2.0 + 0.5 * math.log2(k)
         lower = dict(
-            layer_bounds_log2={i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)},
+            layer_bounds_log2=layers,
             sum_lower=_linear(sum_log2), sum_lower_log2=sum_log2, erf_lower_log2=erf_log2,
             claimed_lower_log2_166=claimed - 1.66, claimed_lower_log2=claimed,
             margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,

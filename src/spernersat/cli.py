@@ -119,17 +119,9 @@ _BOUNDS_HEADER = "k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\
 
 
 def _bounds_row(report) -> str:
-    def fmt(value):
-        return "-" if value is None else f"{value:.6g}"
-    return "\t".join([
-        str(report.k),
-        fmt(report.baseline_lower_log2),
-        fmt(report.sum_lower),
-        fmt(report.erf_lower_log2),
-        fmt(report.upper_log2),
-        fmt(report.margin_166),
-        fmt(report.margin_497),
-    ])
+    values = (report.baseline_lower_log2, report.sum_lower, report.erf_lower_log2,
+              report.upper_log2, report.margin_166, report.margin_497)
+    return "\t".join([str(report.k)] + ["-" if v is None else f"{v:.6g}" for v in values])
 
 
 def _write_json_streamed(doc: dict, entries) -> None:
@@ -153,11 +145,10 @@ def cmd_bounds(args) -> int:
                                  (f'"{k}": {json.dumps(v)}' for k, v in scan.margins.items()))
         else:
             print(f"threshold: {scan.threshold}")
-            if scan.threshold is not None and scan.threshold > 7:
-                last_fail = scan.threshold - 1
-                print(f"margin at {last_fail}: {scan.margins[last_fail]:.3e}")
             if scan.threshold is not None:
-                print(f"margin at {scan.threshold}: {scan.margins[scan.threshold]:.3e}")
+                # the last k that fails, if the scan has one, and the threshold
+                for k in range(max(7, scan.threshold - 1), scan.threshold + 1):
+                    print(f"margin at {k}: {scan.margins[k]:.3e}")
         return EXIT_OK if scan.threshold is not None else EXIT_FALSE
     if args.table is not None:
         try:
@@ -212,12 +203,7 @@ def cmd_atoms(args) -> int:
     concrete = parse_concrete(_read_bytes(args.infile))
     partition = find_atoms(concrete)
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "n": partition.n,
-            "classes": [list(c) for c in partition.classes],
-            "homogeneous": [list(c) for c in partition.homogeneous],
-        }, indent=2))
+        print(json.dumps(partition.to_json_dict(), indent=2))
     else:
         print(f"ground set: {partition.n} elements, {len(partition.classes)} atom classes")
         for cls in partition.classes:

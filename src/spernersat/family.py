@@ -38,7 +38,7 @@ class CapacityError(ValueError):
     raised before any of that work starts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Member:
     """One set: the atoms it contains, and whether it contains the block H."""
 
@@ -281,6 +281,16 @@ def _next_line(prefix: str) -> int:
     return len((prefix + ".").splitlines())
 
 
+def _decimal_int(tok: str) -> int:
+    """int(tok) for ASCII digits with an optional leading '-', the integers
+    of the format; ValueError for the rest of what int() takes: '_', '+'
+    and digits of other scripts."""
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
     """The one tokenizer of the text format: (m, members in file order).
     Without allow_H an 'H' token is malformed."""
@@ -298,11 +308,13 @@ def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
+        # int() takes exactly the format's integers on an ASCII line without '_' and '+'
+        to_int = int if line.isascii() and "_" not in line and "+" not in line else _decimal_int
         if m is None:
             if len(tokens) != 2 or tokens[0] != "universe":
                 raise FamilyFormatError("expected 'universe <m>' header", lineno)
             try:
-                m = int(tokens[1])
+                m = to_int(tokens[1])
             except ValueError:
                 raise FamilyFormatError(f"bad universe size {tokens[1]!r}", lineno) from None
             if not 0 <= m <= MAX_ATOMS:
@@ -322,7 +334,7 @@ def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
                     has_h = True
                     continue
                 try:
-                    atom = int(tok)
+                    atom = to_int(tok)
                 except ValueError:
                     raise FamilyFormatError(f"malformed token {tok!r}", lineno) from None
                 if not 1 <= atom <= m:
@@ -347,7 +359,8 @@ def parse_family(text) -> Family:
     Lines whose first non-blank character is '#' are comments; blank lines
     are skipped.  The first significant line must be 'universe <m>'.  Every
     other significant line is one member: the word 'empty', or atom indices
-    (1..m) plus at most one 'H' token, whitespace-separated.
+    (1..m) plus at most one 'H' token, whitespace-separated.  Numbers are
+    ASCII digits with an optional leading '-'.
     """
     m, members = _parse_members(text, allow_H=True)
     return Family(m, tuple(members))

@@ -16,7 +16,7 @@ works on raw subsets of {1..n} and never consults the layer machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -63,21 +63,32 @@ LAYER_NOT_SATURATED = "LAYER_NOT_SATURATED"
 
 
 def _json_fields(report) -> dict:
-    """A report's fields in declaration order as JSON values: witness_mask
-    as its atom list under "witness", a tuple of reports as the list of
-    theirs, and fields marked json=False left out."""
-    out = {}
+    """A report's fields in declaration order as JSON values.  Metadata
+    renames or moves a field: atoms=name writes an atom mask as its atom
+    list (or null) under name, margin=name puts the value under "margins"
+    (the last key) by name, and json=False leaves the field out."""
+    out, margins = {}, {}
     for f in fields(report):
-        if not f.metadata.get("json", True):
-            continue
         value = getattr(report, f.name)
-        if f.name == "witness_mask":
-            out["witness"] = None if value is None else list(atoms_of_mask(value))
-        elif isinstance(value, tuple):
-            out[f.name] = [_json_fields(item) for item in value]
-        else:
-            out[f.name] = value
-    return out
+        if "atoms" in f.metadata:
+            out[f.metadata["atoms"]] = None if value is None else list(atoms_of_mask(value))
+        elif "margin" in f.metadata:
+            margins[f.metadata["margin"]] = _json_value(value)
+        elif f.metadata.get("json", True):
+            out[f.name] = _json_value(value)
+    return {**out, "margins": margins} if margins else out
+
+
+def _json_value(value):
+    """A dataclass as its own document, a tuple as a list, a dict with its
+    keys as strings in ascending order (values as they are), inf as null."""
+    if is_dataclass(value):
+        return _json_fields(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): item for key, item in sorted(value.items())}
+    return None if value == math.inf else value
 
 
 @dataclass(frozen=True)
@@ -88,14 +99,14 @@ class LayerReport:
     large: int
     antichain: bool
     saturated: bool
-    witness_mask: int | None
+    witness_mask: int | None = field(metadata={"atoms": "witness"})
 
 
 @dataclass(frozen=True)
 class Reason:
     code: str
     layer: int | None = None
-    witness_mask: int | None = None
+    witness_mask: int | None = field(default=None, metadata={"atoms": "witness"})
 
     def describe(self) -> str:
         if self.code == WRONG_LAYER_COUNT:
@@ -284,10 +295,13 @@ class AtomPartition:
 
     n: int
     classes: tuple[tuple[int, ...], ...]
+    homogeneous: tuple[tuple[int, ...], ...] = field(init=False)
 
-    @property
-    def homogeneous(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.classes if len(c) >= 2)
+    def __post_init__(self):
+        object.__setattr__(self, "homogeneous", tuple(c for c in self.classes if len(c) >= 2))
+
+    def to_json_dict(self) -> dict:
+        return {"schema_version": 1, **_json_fields(self)}
 
 
 def find_atoms(c: ConcreteFamily) -> AtomPartition:

@@ -380,6 +380,14 @@ def test_parse_error_positions():
         ("\n# lead\nuniverse -1\n", 3, "universe size must be"),
         ("universe 1 2\n", 1, "expected 'universe"),
         ("universe 3\n\n2 1\n# gap\n1 2\n", 5, "duplicate member"),
+        # int() takes these, the format does not
+        ("universe 1_0\n", 1, "bad universe size '1_0'"),
+        ("universe +2\n", 1, "bad universe size '+2'"),
+        ("universe \u0663\n", 1, "bad universe size '\u0663'"),
+        ("universe 12\n2\n1_0 H\n", 3, "malformed token '1_0'"),
+        ("universe 3\n+3\n", 2, "malformed token '+3'"),
+        ("# ok\nuniverse 3\n\u0663 2\n", 3, "malformed token '\u0663'"),
+        ("universe 3\n-1 +2\n", 2, "atom -1 outside universe"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(FamilyFormatError) as err:
