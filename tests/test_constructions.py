@@ -1,5 +1,6 @@
 """Built-in constructions, composition, bootstrap plans, and reduction."""
 
+import hashlib
 import math
 import random
 
@@ -21,6 +22,7 @@ from spernersat import (
     is_saturated_antichain,
     mask_of_atoms,
     reduce_antichain,
+    serialize_family,
     seven56,
     three_sperner,
     trivial_construction,
@@ -385,6 +387,23 @@ def test_reduce_is_deterministic():
         out2, trace2 = reduce_antichain(a)
         assert out1 == out2
         assert trace1 == trace2
+
+
+def test_reduce_traces_and_outputs_are_pinned():
+    """Regression pin: one digest over the trace and the output of 1,000
+    seeded antichains on up to 7 atoms, which between them take every
+    action of the rewriting."""
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    actions = set()
+    for _ in range(1000):
+        a = random_saturated_antichain(rng, max_atoms=7)
+        out, trace = reduce_antichain(a)
+        digest.update(f"{trace.describe()}\n{serialize_family(out)}".encode())
+        actions.update(step.action for step in trace.steps)
+    assert actions == {"choose", "replace", "strip", "merge", "drop_small_superset",
+                       "drop_large_subset", "reassign"}
+    assert digest.hexdigest() == "4217e3cff24e2d42a14c6cd2ef9b50e240edf90732881a471cbf090470a1bd65"
 
 
 def test_reduce_rejects_bad_input():

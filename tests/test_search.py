@@ -194,6 +194,16 @@ def _roots(bounds, forcing, found=None):
     return roots
 
 
+# candidates, chain, orbit, layer-count and shape prunes, leaves verified
+_PINNED_COUNTS = {
+    (4, 4, 8, True): SearchCounts(15407, 2690, 3650, 513, 6002, 336),
+    (6, 3, 20, True): SearchCounts(8391, 0, 1230, 3309, 0, 0),
+    (5, 3, 15, True): SearchCounts(8377, 0, 1230, 875, 2231, 202),
+    (3, 3, 8, False): SearchCounts(482, 0, 140, 221, 0, 41),
+    (3, 4, 6, False): SearchCounts(1630, 0, 709, 662, 0, 101),
+}
+
+
 @pytest.mark.parametrize("k, max_atoms, max_size, forcing, outcome, nodes, size", [
     (4, 4, 8, True, FOUND, 9100, 8),
     (6, 3, 20, True, NONE_WITHIN_BOUNDS, 7237, None),
@@ -207,6 +217,7 @@ def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome
     assert (result.outcome, result.nodes) == (outcome, nodes)
     assert (result.family.size if result.family else None) == size
     c = result.counts
+    assert c == _PINNED_COUNTS[k, max_atoms, max_size, forcing]
     roots = _roots(bounds, forcing, result.family)
     assert result.nodes == roots + c.candidates - c.chain_prunes - c.orbit_prunes
 
