@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / verified true / found; 1 verified false / nothing
-found; 2 usage error; 3 unreadable or malformed input; 4 search budget
-exhausted; 5 input beyond a capacity limit (CapacityError).
+found; 2 usage error, or an output file that cannot be written; 3
+unreadable or malformed input; 4 search budget exhausted; 5 input beyond a
+capacity limit (CapacityError).
 """
 
 from __future__ import annotations
@@ -43,11 +44,16 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None; a
+    file that cannot be written is a usage error."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_family(path: str) -> Family:
@@ -186,10 +192,7 @@ def cmd_search(args) -> int:
     print(f"outcome: {result.outcome} (nodes expanded: {result.nodes})")
     if result.outcome == FOUND:
         print(f"minimum size within bounds: {result.family.size}")
-        if args.output:
-            _write_text(args.output, serialize_family(result.family))
-        else:
-            sys.stdout.write(serialize_family(result.family))
+        _write_text(args.output, serialize_family(result.family))
         return EXIT_OK
     if result.outcome == BUDGET_EXHAUSTED:
         return EXIT_BUDGET

@@ -218,52 +218,45 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     had_multi_atom_small = any(mem.is_small and mem.atom_count > 1 for mem in working)
     step_budget = a.m * a.size
     rewrites = 0
+    target = None  # the small a containment redirected the rewrite to
     while True:
-        multi = sorted((mem for mem in working if mem.is_small and mem.atom_count > 1),
-                       key=Member.key)
-        if not multi:
-            break
-        target = multi[0]
+        if target is None:
+            target = min((mem for mem in working if mem.is_small and mem.atom_count > 1),
+                         key=Member.key, default=None)
+            if target is None:
+                break
+            log("choose", before=target, atom=_lowest_atom(target))
+        rewrites += 1
+        if rewrites > step_budget:
+            raise RuntimeError("reduction exceeded its iteration bound; this is a defect")
         atom = _lowest_atom(target)
-        log("choose", before=target, atom=atom)
-        while True:
-            rewrites += 1
-            if rewrites > step_budget:
-                raise RuntimeError("reduction exceeded its iteration bound; this is a defect")
-            singleton = Member(1 << (atom - 1), False)
-            if target != singleton:
-                working.discard(target)
-                working.add(singleton)
-                log("replace", before=target, after=singleton, atom=atom)
-            bit = 1 << (atom - 1)
-            for mem in sorted(working, key=Member.key):
-                if mem != singleton and mem.atom_mask & bit:
-                    working.remove(mem)
-                    stripped = Member(mem.atom_mask & ~bit, mem.has_H)
-                    if stripped in working:
-                        log("merge", before=mem, after=stripped, atom=atom)
-                    else:
-                        working.add(stripped)
-                        log("strip", before=mem, after=stripped, atom=atom)
-            reassigned = False
-            while True:
-                pair = first_contained_pair(sorted(working, key=Member.key))
-                if pair is None:
-                    break
-                inner, outer = pair
-                if inner.is_small and outer.is_small:
-                    working.remove(outer)
-                    log("drop_small_superset", before=outer)
-                elif inner.is_large and outer.is_large:
-                    working.remove(inner)
-                    log("drop_large_subset", before=inner)
+        bit = 1 << (atom - 1)
+        singleton = Member(bit, False)
+        if target != singleton:
+            working.discard(target)
+            working.add(singleton)
+            log("replace", before=target, after=singleton, atom=atom)
+        for mem in sorted(working, key=Member.key):
+            if mem != singleton and mem.atom_mask & bit:
+                working.remove(mem)
+                stripped = Member(mem.atom_mask & ~bit, mem.has_H)
+                if stripped in working:
+                    log("merge", before=mem, after=stripped, atom=atom)
                 else:
-                    atom = _lowest_atom(inner)
-                    target = inner
-                    log("reassign", before=inner, atom=atom)
-                    reassigned = True
-                    break
-            if not reassigned:
+                    working.add(stripped)
+                    log("strip", before=mem, after=stripped, atom=atom)
+        target = None
+        while (pair := first_contained_pair(sorted(working, key=Member.key))) is not None:
+            inner, outer = pair
+            if inner.is_small and outer.is_small:
+                working.remove(outer)
+                log("drop_small_superset", before=outer)
+            elif inner.is_large and outer.is_large:
+                working.remove(inner)
+                log("drop_large_subset", before=inner)
+            else:
+                target = inner
+                log("reassign", before=inner, atom=_lowest_atom(inner))
                 break
     result = Family(a.m, tuple(working))
     if result.size > a.size:

@@ -83,6 +83,12 @@ class Member:
         return " ".join(parts)
 
 
+def packed_key(mem: Member) -> int:
+    """The atom mask with H as bit MAX_ATOMS: a member is inside another
+    exactly when its key is a bit-subset of the other's."""
+    return mem.atom_mask | (mem.has_H << MAX_ATOMS)
+
+
 def atoms_of_mask(mask: int) -> tuple[int, ...]:
     """1-based atom indices of a bitmask, ascending."""
     out = []
@@ -187,7 +193,7 @@ def _lattice_keys(members):
     contains another exactly when its key is a proper bit-superset.  Keys
     are ints when their lattice fits one word, else an int64 array."""
     h_bit = 1 << MAX_ATOMS
-    keys = [mem.atom_mask | (h_bit if mem.has_H else 0) for mem in members]
+    keys = list(map(packed_key, members))
     used = 0
     for key in keys:
         used |= key

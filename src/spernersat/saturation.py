@@ -126,13 +126,6 @@ class VerificationReport:
     reasons: tuple[Reason, ...]
     decomposition: LayerDecomposition = field(metadata={"json": False})
 
-    @property
-    def failure_witness_mask(self) -> int | None:
-        for reason in self.reasons:
-            if reason.witness_mask is not None:
-                return reason.witness_mask
-        return None
-
     def to_json_dict(self) -> dict:
         return {"schema_version": 1, **_json_fields(self)}
 

@@ -16,10 +16,11 @@ changes the depth (longest chain from below) of a member already chosen:
 each candidate's depth is 1 + the largest depth among the chosen members
 whose packed key is a bit-subset of its own, and the depths travel with
 the depth-first stack.  Relabelings read one image table per atom
-permutation (the image of every atom mask, m! * 2^m bytes per m, built
-once per call); the orbit check compares only the relabelings that fix
-every completed group of equal (H flag, atom count), and only on the open
-group (the argument is at _fixing).
+permutation (the image of every atom mask, m! * 2^m bytes per m); the
+orbit check compares only the relabelings that fix every completed group
+of equal (H flag, atom count), and only on the open group (the argument is
+at _fixing).  The candidate pool and the tables of each m are built once
+per call, when the search first reaches that m.
 
 A complete candidate (a leaf) is tested in this order, each test exact:
   1. its largest depth must be k, because the verifier's layer count is the
@@ -46,7 +47,7 @@ from itertools import permutations
 import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
-from .family import MAX_ATOMS, CapacityError, Family, Member, member_depths  # noqa: F401
+from .family import CapacityError, Family, Member, member_depths, packed_key  # noqa: F401
 from .saturation import _layer1_shape, verify_saturated_k_sperner
 
 FOUND = "FOUND"
@@ -148,10 +149,6 @@ def _least_in_group(live, group: list[int]) -> bool:
     return all(sorted([table[x] for x in group]) >= group for table in live)
 
 
-def _packed_key(mem: Member) -> int:
-    return mem.atom_mask | (mem.has_H << MAX_ATOMS)
-
-
 def _carried_depth(key: int, keys: list[int], depths: list[int]) -> int:
     """Depth of a member appended after the chosen ones in canonical order:
     1 + the largest depth among those whose packed key is inside its key."""
@@ -174,6 +171,18 @@ class _Budget(Exception):
     pass
 
 
+def _space(m: int, force: bool):
+    """(pool, tables, bottom, top) on m atoms: the candidates in canonical
+    order with their packed keys and groups, the image tables without the
+    identity (which never sorts lower), and the forced bottom and top."""
+    forced = [Member(0, False), Member((1 << m) - 1, True)] if force else []
+    pool = [(mem, packed_key(mem), (mem.has_H, mem.atom_count))
+            for mem in sorted((Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)),
+                              key=Member.key)
+            if mem not in forced]
+    return pool, _image_tables(m)[1:], forced[:1], forced[1:]
+
+
 def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     """Smallest saturated system with the given degree inside the bounds.
 
@@ -187,32 +196,27 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     depth_limit = k - 1 if force else k
     nodes = 0
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
-    found: list[Family] = []
-    tables_by_m: dict[int, list[bytes]] = {}
+    spaces = []  # _space(m, force) at index m
 
-    def dfs(m, pool, top, chosen, keys, depths, live, group, group_kind, next_index, need):
-        # chosen, keys, depths: every member but the forced top.  live, group,
-        # group_kind: the orbit check's state.
+    def dfs(start, live, group, group_kind):
+        # Extends chosen, keys and depths (every member but the forced top)
+        # from pool[start:]; live, group and group_kind are the orbit check's
+        # state.  Returns the first verified family, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
         if len(chosen) == need:
             members = chosen + top
-            leaf_depths = depths + [1 + max(depths)] if top else depths
-            reason = _leaf_rejection(members, leaf_depths, k, forcing)
+            reason = _leaf_rejection(members, depths + [1 + max(depths)] * len(top), k, forcing)
             if reason is not None:
                 tally[reason] += 1
-                return False
+                return None
             tally["leaves_verified"] += 1
             family = Family(m, tuple(members))
-            if not verify_saturated_k_sperner(family, k).verdict:
-                return False
-            found.append(family)
-            return True
-        slack = need - len(chosen)
+            return family if verify_saturated_k_sperner(family, k).verdict else None
         closed = None  # live restricted to the tables that fix group, once asked for
-        for idx in range(next_index, len(pool) - slack + 1):
+        for idx in range(start, len(pool) + len(chosen) - need + 1):
             candidate, key, kind = pool[idx]
             tally["candidates"] += 1
             depth = _carried_depth(key, keys, depths)
@@ -231,41 +235,28 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             chosen.append(candidate)
             keys.append(key)
             depths.append(depth)
-            hit = dfs(m, pool, top, chosen, keys, depths, next_live, next_group, kind,
-                      idx + 1, need)
+            family = dfs(idx + 1, next_live, next_group, kind)
             chosen.pop()
             keys.pop()
             depths.pop()
-            if hit:
-                return True
-        return False
+            if family is not None:
+                return family
+        return None
 
     def result(outcome, family=None, certificate=None):
         return SearchResult(outcome, family, nodes, certificate, SearchCounts(**tally))
 
     try:
-        for size in range(1, bounds.max_size + 1):
-            for m in range(0, bounds.max_atoms + 1):
-                forced = [Member(0, False), Member((1 << m) - 1, True)] if force else []
-                if len(forced) > size:
-                    continue
-                forced_set = set(forced)
-                pool = sorted(
-                    (Member(mask, has_h)
-                     for has_h in (False, True)
-                     for mask in range(1 << m)
-                     if Member(mask, has_h) not in forced_set),
-                    key=Member.key,
-                )
-                if m not in tables_by_m:
-                    tables_by_m[m] = _image_tables(m)[1:]  # the identity never sorts lower
-                pool = [(mem, _packed_key(mem), (mem.has_H, mem.atom_count)) for mem in pool]
-                bottom, top = forced[:1], forced[1:]
-                if dfs(m, pool, top, bottom, [_packed_key(mem) for mem in bottom], [1] * len(bottom),
-                       tables_by_m[m], [], None, 0, size - len(top)):
-                    family = found[0]
-                    report = verify_saturated_k_sperner(family, k)
-                    if not report.verdict:
+        for size in range(2 if force else 1, bounds.max_size + 1):
+            for m in range(bounds.max_atoms + 1):
+                if m == len(spaces):
+                    spaces.append(_space(m, force))
+                pool, tables, bottom, top = spaces[m]
+                need = size - len(top)
+                chosen, keys, depths = list(bottom), [packed_key(mem) for mem in bottom], [1] * len(bottom)
+                family = dfs(0, tables, [], None)
+                if family is not None:
+                    if not verify_saturated_k_sperner(family, k).verdict:
                         raise RuntimeError("search emitted an unverified family; this is a defect")
                     return result(FOUND, family)
     except _Budget:

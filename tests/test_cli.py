@@ -229,6 +229,46 @@ def test_oracle_command_agrees_with_verify(tmp_path, capsys):
         assert run(capsys, "oracle", "--in", str(path), "--h", h, "--k", "4")[0] == 1
 
 
+# ---------------------------------------------------- unwritable output
+
+def _cannot_write(tmp_path):
+    """A path in a directory that does not exist, and the error it gives."""
+    path = tmp_path / "missing" / "x.txt"
+    return str(path), f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_construct_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path, message = _cannot_write(tmp_path)
+    assert run(capsys, "construct", "--kind", "three", "--out", path) == (2, "", message)
+
+
+def test_compose_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    three = tmp_path / "three.txt"
+    three.write_text(serialize_family(three_sperner()))
+    path, message = _cannot_write(tmp_path)
+    assert run(capsys, "compose", "--a", str(three), "--b", str(three), "--out", path) == (2, "", message)
+
+
+def test_reduce_to_an_unwritable_out_or_trace_exits_2(tmp_path, capsys):
+    from spernersat import canonical_decomposition
+    src = tmp_path / "layer.txt"
+    src.write_text(serialize_family(canonical_decomposition(seven56()).layers[2]))
+    path, message = _cannot_write(tmp_path)
+    assert run(capsys, "reduce", "--in", str(src), "--out", path) == (2, "", message)
+    out_path = tmp_path / "reduced.txt"
+    code, out, err = run(capsys, "reduce", "--in", str(src), "--out", str(out_path), "--trace", path)
+    assert (code, out, err) == (2, "", message)
+    assert parse_family(out_path.read_text()).size == 7
+
+
+def test_search_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path, message = _cannot_write(tmp_path)
+    code, out, err = run(capsys, "search", "--k", "3", "--max-atoms", "2", "--max-size", "4",
+                         "--output", path)
+    assert (code, err) == (2, message)
+    assert out == "outcome: FOUND (nodes expanded: 16)\nminimum size within bounds: 4\n"
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_format_and_usage_errors(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_verify_unsaturated_layer_reports_index_and_witness():
     assert not report.verdict
     codes = {r.code for r in report.reasons}
     assert codes == {LAYER_NOT_SATURATED}
-    assert report.failure_witness_mask is not None
+    assert report.reasons[0].witness_mask is not None
     layer = report.reasons[0].layer
     assert layer in (0, 1)
 

@@ -24,7 +24,8 @@ from spernersat import (
     three_sperner,
     verify_saturated_k_sperner,
 )
-from spernersat.family import member_depths
+from spernersat.family import member_depths, packed_key
+from spernersat import search as search_mod
 from spernersat.saturation import _layer1_shape
 from spernersat.search import (
     SearchCounts,
@@ -34,7 +35,6 @@ from spernersat.search import (
     _image_tables,
     _leaf_rejection,
     _least_in_group,
-    _packed_key,
 )
 from helpers import random_family
 
@@ -222,6 +222,17 @@ def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome
     assert result.nodes == roots + c.candidates - c.chain_prunes - c.orbit_prunes
 
 
+@pytest.mark.parametrize("k, max_atoms, max_size, built", [
+    (2, 8, 2, [0]),             # found on 0 atoms: the 10 MB tables of m = 8 are never built
+    (4, 3, 7, [0, 1, 2, 3]),    # exhausted over six sizes: each m's tables built once
+])
+def test_image_tables_are_built_once_per_m_when_reached(monkeypatch, k, max_atoms, max_size, built):
+    calls = []
+    monkeypatch.setattr(search_mod, "_image_tables", lambda m: calls.append(m) or _image_tables(m))
+    search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size))
+    assert calls == built
+
+
 def test_search_counts_account_for_every_candidate():
     bounds = SearchBounds(k=3, max_atoms=2, max_size=3)
     result = search_min(bounds)
@@ -257,8 +268,8 @@ def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
     m, forced, members = case
     keys, depths = [], []
     for mem in members:
-        depths.append(_carried_depth(_packed_key(mem), keys, depths))
-        keys.append(_packed_key(mem))
+        depths.append(_carried_depth(packed_key(mem), keys, depths))
+        keys.append(packed_key(mem))
     assert depths == member_depths(members).tolist()
     if forced:
         # the search sets the forced top's depth without a scan
