@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .family import CapacityError
-from .saturation import _json_fields
+from .saturation import _JsonDocument
 
 LN2 = math.log(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -63,8 +63,9 @@ def _erf_series(x: float) -> float:
 
 def _erfc_continued_fraction(x: float) -> float:
     # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))));
-    # modified Lentz iteration, x > 3
-    tiny = 1e-300
+    # modified Lentz iteration, x > 3.  Every partial numerator a is positive,
+    # so c (from x) and the denominator x + a * d (d from 0) stay at least
+    # x > 0, and Lentz's guard against a zero c or d is not needed.
     f = x
     c = x
     d = 0.0
@@ -73,11 +74,7 @@ def _erfc_continued_fraction(x: float) -> float:
         n += 1
         a = n / 2.0
         d = x + a * d
-        if d == 0.0:
-            d = tiny
         c = x + a / c
-        if c == 0.0:
-            c = tiny
         d = 1.0 / d
         delta = c * d
         f *= delta
@@ -173,15 +170,12 @@ def erf_lower_bound_log2(k: int) -> float:
 
 
 @dataclass(frozen=True)
-class ThresholdScan:
+class ThresholdScan(_JsonDocument):
     """Smallest k whose whole suffix up to k_max clears sqrt(k) * 2^(k/2)."""
 
     k_max: int
     threshold: int | None
     margins: dict[int, float]  # erf_lower_bound_log2(k) - (k/2 + log2(k)/2)
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, **_json_fields(self)}
 
 
 def find_threshold(k_max: int) -> ThresholdScan:
@@ -200,7 +194,7 @@ def find_threshold(k_max: int) -> ThresholdScan:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_JsonDocument):
     """Every bound the package knows about one degree k.
 
     Log-space fields are always finite; sum_lower is inf (null in JSON)
@@ -224,9 +218,6 @@ class BoundReport:
     claimed_lower_log2: float | None = None
     margin_166: float | None = field(default=None, metadata={"margin": "erf_vs_166"})
     margin_497: float | None = field(default=None, metadata={"margin": "erf_vs_497"})
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, **_json_fields(self)}
 
 
 def upper_bound_report(k: int) -> BoundReport:

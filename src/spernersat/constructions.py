@@ -17,6 +17,7 @@ retires one atom for good, which bounds the work by m * |input|.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .family import (
@@ -34,12 +35,15 @@ from .saturation import is_saturated_antichain
 MAX_MEMBERS = 1 << 21
 
 
-def _check_capacity(k: int, atoms: int, size: int, detail: str = "") -> None:
+def _check_capacity(k: int, atoms: int, size: Callable[[], int], detail: str = "") -> None:
     """Refuse a degree-k system of more than MAX_ATOMS atoms or MAX_MEMBERS
-    members, from its counts alone."""
-    for need, unit, limit in ((atoms, "atoms", MAX_ATOMS), (size, "members", MAX_MEMBERS)):
-        if need > limit:
-            raise CapacityError(f"degree {k} needs {need} {unit} (limit {limit}){detail}")
+    members, from its counts alone.  size() is asked for the member count
+    only once the atoms fit, where it is below 2^64, so a refusal costs no
+    more than writing k and the atom count."""
+    if atoms > MAX_ATOMS:
+        raise CapacityError(f"degree {k} needs {atoms} atoms (limit {MAX_ATOMS}){detail}")
+    if (need := size()) > MAX_MEMBERS:
+        raise CapacityError(f"degree {k} needs {need} members (limit {MAX_MEMBERS}){detail}")
 
 
 def trivial_construction(k: int) -> Family:
@@ -50,7 +54,7 @@ def trivial_construction(k: int) -> Family:
     if k < 2:
         raise ValueError("k must be >= 2")
     m = k - 2
-    _check_capacity(k, m, 1 << (k - 1))
+    _check_capacity(k, m, lambda: 1 << (k - 1))
     smalls = [Member(mask, False) for mask in range(1 << m)]
     members = smalls + [complement_member(mem, m) for mem in smalls]
     return Family(m, tuple(members))
@@ -142,9 +146,8 @@ def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
     if k < 2:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
+    _check_capacity(k, 7 * j + s, lambda: 2 ** (s + 1) * 28 ** j, f"; plan: j={j} s={s}")
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    _check_capacity(k, plan.atoms_needed, plan.predicted_size,
-                    f"; plan: {' * '.join(plan.factors)}, predicted size {plan.predicted_size}")
     family = trivial_construction(2)
     for _ in range(j):
         family = compose(family, seven56())

@@ -12,6 +12,10 @@ ambient ground-set size n.
 Canonical member order is (has_H, atom count, atom mask); proper
 containment is strictly monotone in this key, so sorting doubles as a
 topological order of the containment DAG.
+
+The canonical decomposition of a family is plain data: a tuple of layers,
+bottom first, each a Family over the same universe, one per member of the
+longest chain.
 """
 
 from __future__ import annotations
@@ -149,18 +153,6 @@ class Family:
         return Family(self.m, tuple(mem for mem in self.members if mem != member))
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Antichain layers obtained by iteratively peeling minimal members."""
-
-    layers: tuple[Family, ...]
-    source: Family
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
-
-
 def complement_member(x: Member, m: int) -> Member:
     """Complement within the ground set: flip every atom and the H flag."""
     if x.atom_mask >> m:
@@ -249,18 +241,19 @@ def longest_chain_length(f: Family) -> int:
     return int(member_depths(f.members).max())
 
 
-def canonical_decomposition(f: Family) -> LayerDecomposition:
+def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     """Peel minimal members into layers: layer i collects the members whose
-    longest chain from below has exactly i+1 members.  Layers are antichains,
-    pairwise disjoint, cover the family, and every member of layer i (i >= 1)
-    properly contains a member of layer i-1."""
+    longest chain from below has exactly i+1 members, so there are as many
+    layers as the longest chain has members.  Layers are antichains over
+    f's universe, pairwise disjoint, cover the family, and every member of
+    layer i (i >= 1) properly contains a member of layer i-1."""
     if not f.members:
         raise ValueError("cannot decompose an empty family")
     depth = member_depths(f.members)
     layers = [[] for _ in range(int(depth.max()))]
     for mem, d in zip(f.members, depth.tolist()):
         layers[d - 1].append(mem)
-    return LayerDecomposition(tuple(Family(f.m, tuple(layer)) for layer in layers), f)
+    return tuple(Family(f.m, tuple(layer)) for layer in layers)
 
 
 def is_layered(layers, *, small_only: bool = False) -> bool:

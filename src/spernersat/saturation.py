@@ -5,7 +5,10 @@ atom universe contains some small member or fits inside some large one.
 Checking all 2^m subsets is exact: a candidate set meeting only part of H
 compares to smalls and larges exactly as its atom part does.  A system is
 a saturated k-Sperner family precisely when its canonical decomposition
-has exactly k layers and each layer passes this test.
+has exactly k layers and each layer passes this test; the report keeps
+those layers, and size_bounds_check asks the size facts of minimum systems
+of any such layer tuple.  Every report that is a JSON document of its own
+gets to_json_dict from one base class.
 
 The module also carries the fully concrete side: instantiating the block H
 as h real elements, recovering the atom structure of a concrete family
@@ -24,7 +27,6 @@ from .family import (
     MAX_ATOMS,
     CapacityError,
     Family,
-    LayerDecomposition,
     Member,
     _parse_members,
     atoms_of_mask,
@@ -79,6 +81,14 @@ def _json_fields(report) -> dict:
     return {**out, "margins": margins} if margins else out
 
 
+class _JsonDocument:
+    """A report that is a JSON document of its own: schema_version 1, then
+    its fields as _json_fields writes them."""
+
+    def to_json_dict(self) -> dict:
+        return {"schema_version": 1, **_json_fields(self)}
+
+
 def _json_value(value):
     """A dataclass as its own document, a tuple as a list, a dict with its
     keys as strings in ascending order (values as they are), inf as null."""
@@ -116,7 +126,7 @@ class Reason:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_JsonDocument):
     """Outcome of the layer-based saturation check for one (family, k)."""
 
     verdict: bool
@@ -124,10 +134,7 @@ class VerificationReport:
     layer_count: int
     layers: tuple[LayerReport, ...]
     reasons: tuple[Reason, ...]
-    decomposition: LayerDecomposition = field(metadata={"json": False})
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, **_json_fields(self)}
+    decomposition: tuple[Family, ...] = field(metadata={"json": False})
 
 
 def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
@@ -142,7 +149,7 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
     decomposition = canonical_decomposition(f)
     layer_reports = []
     reasons = []
-    for index, layer in enumerate(decomposition.layers):
+    for index, layer in enumerate(decomposition):
         # Members of equal depth cannot properly contain one another: no antichain check.
         witness = _first_uncovered(layer)
         layer_reports.append(LayerReport(
@@ -156,9 +163,9 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         ))
         if witness is not None:
             reasons.append(Reason(LAYER_NOT_SATURATED, layer=index, witness_mask=witness))
-    if decomposition.layer_count != k:
+    if len(decomposition) != k:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
-    return VerificationReport(verdict=not reasons, k=k, layer_count=decomposition.layer_count,
+    return VerificationReport(verdict=not reasons, k=k, layer_count=len(decomposition),
                               layers=tuple(layer_reports), reasons=tuple(reasons),
                               decomposition=decomposition)
 
@@ -196,16 +203,17 @@ def _layer1_shape(members, k: int) -> tuple[bool, bool, bool]:
             len(members) - len(smalls) == 1)
 
 
-def size_bounds_check(d: LayerDecomposition, k: int) -> SizeDiagnostics:
-    if d.layer_count != k:
-        raise ValueError(f"expected {k} layers, found {d.layer_count}")
-    m = d.source.m
+def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
+    """The size facts of a minimum system, asked of k layers over one
+    universe, bottom first (a canonical decomposition, or any layer tuple)."""
+    if len(layers) != k:
+        raise ValueError(f"expected {k} layers, found {len(layers)}")
     per_layer = []
-    for index, layer in enumerate(d.layers):
+    for index, layer in enumerate(layers):
         smalls = layer.smalls()
         larges = layer.larges()
         small_sizes = {mem.atom_count for mem in smalls}
-        large_cosizes = {mem.cosize(m) for mem in larges}
+        large_cosizes = {mem.cosize(layer.m) for mem in larges}
         per_layer.append(LayerSizeDiagnostics(
             index=index,
             small_count=len(smalls),
@@ -214,13 +222,13 @@ def size_bounds_check(d: LayerDecomposition, k: int) -> SizeDiagnostics:
             large_cosize_ok=all(c >= k - 1 - index for c in large_cosizes),
             flat=len(small_sizes) <= 1 and len(large_cosizes) <= 1,
         ))
-    bottom = d.layers[0]
-    top = d.layers[-1]
+    bottom = layers[0]
+    top = layers[-1]
     bottom_is_empty = bottom.members == (Member(0, False),)
-    top_is_full = top.members == (Member(d.source.full_mask, True),)
+    top_is_full = top.members == (Member(top.full_mask, True),)
     if k >= 2:
         layer1_small_singletons, layer1_small_count_ok, layer1_single_large = \
-            _layer1_shape(d.layers[1].members, k)
+            _layer1_shape(layers[1].members, k)
     else:
         layer1_small_singletons = layer1_small_count_ok = layer1_single_large = True
     return SizeDiagnostics(
@@ -282,7 +290,7 @@ def parse_concrete(text) -> ConcreteFamily:
 
 
 @dataclass(frozen=True)
-class AtomPartition:
+class AtomPartition(_JsonDocument):
     """Partition of {1..n} by membership fingerprint.  Elements in one class
     hit exactly the same members; classes of size >= 2 are homogeneous."""
 
@@ -292,9 +300,6 @@ class AtomPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "homogeneous", tuple(c for c in self.classes if len(c) >= 2))
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, **_json_fields(self)}
 
 
 def find_atoms(c: ConcreteFamily) -> AtomPartition:

@@ -5,7 +5,9 @@ library's own coverage scan: it tracks coverage with its own bit loop, so a
 defect in the numpy closures would surface as a generator/checker mismatch.
 """
 
+import inspect
 import random
+import types
 
 from spernersat import (
     Family,
@@ -95,3 +97,25 @@ def composed_families() -> list[tuple[str, Family, int]]:
         ("seven56*three", compose(seven56(), three_sperner()), 8),
         ("seven56*seven56", compose(seven56(), seven56()), 12),
     ]
+
+
+def reachable(func) -> set[str]:
+    """Qualified names of the spernersat functions func reaches through the
+    global names its code (nested code included) looks up."""
+    seen: set[str] = set()
+    stack = [func]
+    while stack:
+        f = stack.pop()
+        name = f"{f.__module__}.{f.__qualname__}"
+        if name in seen:
+            continue
+        seen.add(name)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for global_name in code.co_names:
+                target = f.__globals__.get(global_name)
+                if inspect.isfunction(target) and target.__module__.startswith("spernersat"):
+                    stack.append(target)
+    return seen

@@ -151,11 +151,11 @@ def test_criterion_7_probabilistic_layer_bounds():
                       "layer bounds at k=7 sit below the realized layer sizes"):
         grid = [i / 20 for i in range(1, 20)]
         for name, f, _k in builtin_families() + composed_families():
-            for layer in canonical_decomposition(f).layers:
+            for layer in canonical_decomposition(f):
                 for q in grid:
                     hits = expected_hits(layer, q)
                     assert hits >= 1.0 - 1e-12, (name, q, hits)
-        layer_sizes = [layer.size for layer in canonical_decomposition(seven56()).layers]
+        layer_sizes = [layer.size for layer in canonical_decomposition(seven56())]
         for i in (2, 3):
             assert layer_lower_bound(i, 7) < layer_sizes[i], i
 

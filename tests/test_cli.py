@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, file round trips, JSON schemas."""
 
 import json
+import time
+
+import pytest
 
 from spernersat import parse_family, seven56, serialize_family, three_sperner
 from spernersat.cli import main
@@ -105,7 +108,7 @@ def test_reduce_command_with_trace(tmp_path, capsys):
     out_path = tmp_path / "reduced.txt"
     trace_path = tmp_path / "trace.log"
     from spernersat import canonical_decomposition
-    layer = canonical_decomposition(seven56()).layers[2]
+    layer = canonical_decomposition(seven56())[2]
     src.write_text(serialize_family(layer))
     code, _, _ = run(capsys, "reduce", "--in", str(src), "--out", str(out_path),
                      "--trace", str(trace_path))
@@ -252,7 +255,7 @@ def test_compose_to_an_unwritable_path_exits_2(tmp_path, capsys):
 def test_reduce_to_an_unwritable_out_or_trace_exits_2(tmp_path, capsys):
     from spernersat import canonical_decomposition
     src = tmp_path / "layer.txt"
-    src.write_text(serialize_family(canonical_decomposition(seven56()).layers[2]))
+    src.write_text(serialize_family(canonical_decomposition(seven56())[2]))
     path, message = _cannot_write(tmp_path)
     assert run(capsys, "reduce", "--in", str(src), "--out", path) == (2, "", message)
     out_path = tmp_path / "reduced.txt"
@@ -323,6 +326,23 @@ def test_construct_trivial_refuses_beyond_member_cap(monkeypatch, capsys):
     assert code == 5
     assert out == ""
     assert err == "capacity error: degree 30 needs 536870912 members (limit 2097152)\n"
+
+
+@pytest.mark.parametrize("kind, k, message", [
+    ("bootstrap", 14000, "degree 14000 needs 19596 atoms (limit 62); plan: j=2799 s=3"),
+    ("bootstrap", 15000, "degree 15000 needs 20996 atoms (limit 62); plan: j=2999 s=3"),
+    ("bootstrap", 10**21, f"degree {10**21} needs {10**21 + 4 * 10**20 - 4} atoms (limit 62); "
+                          f"plan: j={2 * 10**20 - 1} s=3"),
+    ("trivial", 10**21, f"degree {10**21} needs {10**21 - 2} atoms (limit 62)"),
+])
+def test_construct_refuses_any_degree_from_its_counts(capsys, kind, k, message):
+    """Past the atom cap the refusal is one short line, at once: no member
+    count, factor list or size that grows with k is formed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--kind", kind, "--k", str(k))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (5, "", f"capacity error: {message}\n")
+    assert len(err.encode()) <= 200
 
 
 def test_capacity_refusals_exit_5(tmp_path, capsys):

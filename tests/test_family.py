@@ -262,14 +262,14 @@ def test_is_antichain_matches_chain_length():
 def test_decomposition_trivial_examples():
     two = Family(2, (Member(0, False), Member(0b11, True)))
     d = canonical_decomposition(two)
-    assert [layer.members for layer in d.layers] == [
+    assert [layer.members for layer in d] == [
         (Member(0, False),), (Member(0b11, True),)]
 
     f = Family(2, (Member(0b01, False), Member(0b10, False), Member(0b11, False)))
     d = canonical_decomposition(f)
-    assert d.layer_count == 2
-    assert set(d.layers[0].members) == {Member(0b01, False), Member(0b10, False)}
-    assert d.layers[1].members == (Member(0b11, False),)
+    assert len(d) == 2
+    assert set(d[0].members) == {Member(0b01, False), Member(0b10, False)}
+    assert d[1].members == (Member(0b11, False),)
 
 
 def test_decomposition_rejects_empty():
@@ -284,22 +284,22 @@ def test_decomposition_invariants_random():
     for _ in range(200):
         f = random_family(rng)
         d = canonical_decomposition(f)
-        assert d.layer_count == longest_chain_length(f)
+        assert len(d) == longest_chain_length(f)
         seen: set[Member] = set()
-        for layer in d.layers:
+        for layer in d:
             assert layer.size > 0
             assert is_antichain(layer)
             assert not (seen & set(layer.members))
             seen.update(layer.members)
         assert seen == set(f.members)
-        assert is_layered(d.layers)
+        assert is_layered(d)
 
 
 def test_seven56_layer_profile():
     d = canonical_decomposition(seven56())
-    assert [layer.size for layer in d.layers] == [1, 6, 14, 14, 14, 6, 1]
-    assert is_layered(d.layers)
-    assert is_layered(d.layers, small_only=True)
+    assert [layer.size for layer in d] == [1, 6, 14, 14, 14, 6, 1]
+    assert is_layered(d)
+    assert is_layered(d, small_only=True)
 
 
 def test_is_layered_detects_gap():

@@ -4,8 +4,6 @@ longest-chain definition, and the guards on what the layer verifier
 reaches: nothing of the brute-force oracle, and no pair scan on its own
 layers."""
 
-import inspect
-import types
 from functools import cache
 
 import numpy as np
@@ -16,6 +14,7 @@ from spernersat import saturation
 from spernersat import Family, Member
 from spernersat.lattice import closure, first_hole, pack
 from spernersat.saturation import ConcreteFamily, _first_uncovered, _oracle_depths, _oracle_strict_max
+from helpers import reachable
 
 
 def _tables(elements, max_m=6):
@@ -128,31 +127,9 @@ def test_oracle_depths_match_longest_chain_definition(c):
     assert up.tolist() == [above(x) for x in mems]
 
 
-def _reachable(func) -> set[str]:
-    """Qualified names of the spernersat functions func reaches through the
-    global names its code (nested code included) looks up."""
-    seen: set[str] = set()
-    stack = [func]
-    while stack:
-        f = stack.pop()
-        name = f"{f.__module__}.{f.__qualname__}"
-        if name in seen:
-            continue
-        seen.add(name)
-        codes = [f.__code__]
-        while codes:
-            code = codes.pop()
-            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-            for global_name in code.co_names:
-                target = f.__globals__.get(global_name)
-                if inspect.isfunction(target) and target.__module__.startswith("spernersat"):
-                    stack.append(target)
-    return seen
-
-
 def test_oracle_shares_no_function_with_the_verifier():
-    oracle = _reachable(saturation.brute_force_saturated)
-    verifier = _reachable(saturation.verify_saturated_k_sperner)
+    oracle = reachable(saturation.brute_force_saturated)
+    verifier = reachable(saturation.verify_saturated_k_sperner)
     assert "spernersat.saturation._oracle_strict_max" in oracle
     assert "spernersat.lattice.closure" in verifier
     assert "spernersat.family.member_depths" in verifier
@@ -160,7 +137,7 @@ def test_oracle_shares_no_function_with_the_verifier():
 
 
 def test_verifier_does_not_reprove_its_layers_are_antichains():
-    verifier = _reachable(saturation.verify_saturated_k_sperner)
+    verifier = reachable(saturation.verify_saturated_k_sperner)
     assert "spernersat.family.is_antichain" not in verifier
     assert "spernersat.family.first_contained_pair" not in verifier
     assert "spernersat.saturation._first_uncovered" in verifier

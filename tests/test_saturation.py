@@ -55,7 +55,7 @@ def test_saturated_antichain_trivial_examples():
 
 
 def test_saturated_antichain_fano_layer():
-    layers = canonical_decomposition(seven56()).layers
+    layers = canonical_decomposition(seven56())
     for layer in layers:
         ok, witness = is_saturated_antichain(layer)
         assert ok, f"layer of size {layer.size} failed with witness {witness}"
@@ -228,6 +228,20 @@ def test_size_bounds_check_trivial():
         size_bounds_check(d, 5)
 
 
+def test_size_bounds_check_takes_any_layer_tuple():
+    # three_sperner's layers written out by hand, then layer 1 with a two-atom small
+    bottom, top = Family(1, (Member(0, False),)), Family(1, (Member(1, True),))
+    layers = (bottom, Family(1, (Member(1, False), Member(0, True))), top)
+    assert layers == canonical_decomposition(three_sperner())
+    diag = size_bounds_check(layers, 3)
+    assert diag.bottom_is_empty and diag.top_is_full
+    assert diag.layer1_small_singletons and diag.layer1_single_large
+    bottom, top = Family(2, (Member(0, False),)), Family(2, (Member(0b11, True),))
+    diag = size_bounds_check((bottom, Family(2, (Member(0b11, False), Member(0, True))), top), 3)
+    assert diag.bottom_is_empty and diag.top_is_full
+    assert not diag.layer1_small_singletons
+
+
 # ------------------------------------------------------- concrete side
 
 def test_instantiate_three():
@@ -395,7 +409,7 @@ def test_expected_hits_fixed_values():
     bottom = Family(0, (Member(0, False),))
     for q in (0.05, 0.5, 0.95):
         assert expected_hits(bottom, q) == 1.0
-    pairs_layer = canonical_decomposition(seven56()).layers[2]
+    pairs_layer = canonical_decomposition(seven56())[2]
     assert expected_hits(pairs_layer, 0.5) == pytest.approx(2.1875, abs=1e-12)
     q = 0.5 - eps_of(2, 7)
     assert expected_hits(pairs_layer, q) >= 1.0

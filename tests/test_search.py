@@ -2,7 +2,7 @@
 budget handling, and determinism."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -36,7 +36,7 @@ from spernersat.search import (
     _leaf_rejection,
     _least_in_group,
 )
-from helpers import random_family
+from helpers import random_family, reachable
 
 
 # -------------------------------------------------------- canonical form
@@ -153,6 +153,55 @@ def test_budget_exhaustion():
 def test_big_enough_budget_restores_the_answer():
     tight = search_min(SearchBounds(k=3, max_atoms=2, max_size=4, budget=10 ** 6))
     assert tight.outcome == FOUND
+
+
+# ----------------------------------------------------------- oracle gate
+
+def _enumerated_min(k, max_atoms, max_size):
+    """Size of the smallest saturated k-Sperner system within the bounds, or
+    None: every member set over m atoms + H is tried, size by size, with no
+    forcing, pruning or isomorph rejection, and the brute-force oracle
+    decides each one."""
+    for size in range(1, max_size + 1):
+        for m in range(max_atoms + 1):
+            universe = [Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)]
+            if any(brute_force_saturated(instantiate(Family(m, members), 2), k)
+                   for members in combinations(universe, size)):
+                return size
+    return None
+
+
+# (k, max_atoms, top): one box for each max_size from 1 to top, 204 boxes in
+# all.  k = 4 and 5 at three atoms agree as well, but take 6.5 s and 9 s.
+_ORACLE_BOXES = ([(k, atoms, 10) for k in range(1, 7) for atoms in range(3)]
+                 + [(k, 3, 8) for k in range(1, 4)])
+
+
+def test_search_min_agrees_with_the_enumerator():
+    """The search's answer, with forcing on and off, is the enumerator's."""
+    runs = 0
+    for k, max_atoms, top in _ORACLE_BOXES:
+        # The enumerator tries sizes in ascending order, so below top its
+        # answer is this one where it fits and None elsewhere.
+        least = _enumerated_min(k, max_atoms, top)
+        for max_size in range(1, top + 1):
+            want = least if least is not None and least <= max_size else None
+            for forcing in (True, False):
+                result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size),
+                                    forcing=forcing)
+                assert result.outcome == (NONE_WITHIN_BOUNDS if want is None else FOUND)
+                assert (result.family.size if result.family else None) == want, \
+                    (k, max_atoms, max_size, forcing)
+                runs += 1
+    assert runs == 408
+
+
+def test_the_enumerator_shares_no_function_with_the_search():
+    enumerator = reachable(_enumerated_min)
+    search = reachable(search_min)
+    assert "spernersat.saturation.brute_force_saturated" in enumerator
+    assert "spernersat.saturation.verify_saturated_k_sperner" in search
+    assert enumerator.isdisjoint(search), enumerator & search
 
 
 # ----------------------------------------------------------- determinism
@@ -277,7 +326,7 @@ def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
     report = verify_saturated_k_sperner(Family(m, tuple(members)), k)
     for forcing in (False, True):
         wanted = report.layer_count == k and (
-            not forcing or k < 3 or all(_layer1_shape(report.decomposition.layers[1].members, k)))
+            not forcing or k < 3 or all(_layer1_shape(report.decomposition[1].members, k)))
         assert (_leaf_rejection(members, depths, k, forcing) is None) == wanted
 
 
