@@ -1,6 +1,7 @@
 """Bounded exhaustive search: outcomes, certificates, canonical forms,
 budget handling, and determinism."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -21,6 +22,7 @@ from spernersat import (
     instantiate,
     mask_of_atoms,
     search_min,
+    serialize_family,
     three_sperner,
     verify_saturated_k_sperner,
 )
@@ -269,6 +271,45 @@ def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome
     assert c == _PINNED_COUNTS[k, max_atoms, max_size, forcing]
     roots = _roots(bounds, forcing, result.family)
     assert result.nodes == roots + c.candidates - c.chain_prunes - c.orbit_prunes
+
+
+def _floors(k, forcing):
+    """(size, atoms) below which no family is accepted, argued apart from the
+    search.  Every accepted family has exactly k layers of saturated
+    antichains, and a one-member saturated layer is {empty set} or
+    {all atoms + H}, which can sit only in layer 0 and layer k-1: so k >= 2
+    needs 2k-2 members.  Under forcing (k >= 3) layer 1 also holds k-2
+    singleton smalls and one large: 1 + (k-1) + 2(k-3) + 1 members.  A chain
+    over m atoms + H has at most m+2 members (smalls, then larges, the atom
+    count rising at each step but one), and k layers need a chain of k."""
+    if forcing and k >= 3:
+        return 3 * k - 5, k - 2
+    return max(1, 2 * k - 2), max(0, k - 2)
+
+
+def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
+    """Every family the pinned boxes send to the verifier, in order, minus
+    those below the floors: a pruning rule may drop a leaf only where no
+    family can be accepted."""
+    sent = []
+
+    def recording(family, k):
+        sent.append((family, k))
+        return verify_saturated_k_sperner(family, k)
+
+    monkeypatch.setattr(search_mod, "verify_saturated_k_sperner", recording)
+    digest = hashlib.sha256()
+    kept = 0
+    for k, max_atoms, max_size, forcing in _PINNED_COUNTS:
+        sent.clear()
+        search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
+        size_floor, atom_floor = _floors(k, forcing)
+        for family, degree in sent:
+            if family.size >= size_floor and family.m >= atom_floor:
+                digest.update(f"{degree} {serialize_family(family)}".encode())
+                kept += 1
+    assert kept == 472
+    assert digest.hexdigest() == "699aa57aedac0d54bdc2f6cf0c7a2adb571d06c2faecf6b6d297f6a7a39e4406"
 
 
 @pytest.mark.parametrize("k, max_atoms, max_size, built", [
