@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import bounds as bounds_mod
 from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
@@ -189,10 +189,19 @@ def cmd_search(args) -> int:
         print(f"bad bounds: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = search_min(search_bounds, forcing=not args.no_forcing)
+    try:
+        return _report_search(result, args.output)
+    finally:
+        if args.stats:
+            for name, value in asdict(result.counts).items():
+                print(f"{name}: {value}", file=sys.stderr)
+
+
+def _report_search(result, output: str | None) -> int:
     print(f"outcome: {result.outcome} (nodes expanded: {result.nodes})")
     if result.outcome == FOUND:
         print(f"minimum size within bounds: {result.family.size}")
-        _write_text(args.output, serialize_family(result.family))
+        _write_text(output, serialize_family(result.family))
         return EXIT_OK
     if result.outcome == BUDGET_EXHAUSTED:
         return EXIT_BUDGET
@@ -269,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--no-forcing", action="store_true")
     p.add_argument("--output")
+    p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("atoms", help="atom classes of a concrete family file")

@@ -35,13 +35,20 @@ from .saturation import is_saturated_antichain
 MAX_MEMBERS = 1 << 21
 
 
+def _written(n: int) -> str:
+    """n in decimal up to 256 bits, else its bit length: writing a number of
+    more than 4,300 digits in decimal is itself refused by Python."""
+    return str(n) if n.bit_length() <= 256 else f"<{n.bit_length()}-bit number>"
+
+
 def _check_capacity(k: int, atoms: int, size: Callable[[], int], detail: str = "") -> None:
     """Refuse a degree-k system of more than MAX_ATOMS atoms or MAX_MEMBERS
     members, from its counts alone.  size() is asked for the member count
     only once the atoms fit, where it is below 2^64, so a refusal costs no
-    more than writing k and the atom count."""
+    more than writing k and the atom count (by _written)."""
     if atoms > MAX_ATOMS:
-        raise CapacityError(f"degree {k} needs {atoms} atoms (limit {MAX_ATOMS}){detail}")
+        raise CapacityError(f"degree {_written(k)} needs {_written(atoms)} atoms "
+                            f"(limit {MAX_ATOMS}){detail}")
     if (need := size()) > MAX_MEMBERS:
         raise CapacityError(f"degree {k} needs {need} members (limit {MAX_MEMBERS}){detail}")
 
@@ -146,7 +153,7 @@ def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
     if k < 2:
         raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
-    _check_capacity(k, 7 * j + s, lambda: 2 ** (s + 1) * 28 ** j, f"; plan: j={j} s={s}")
+    _check_capacity(k, 7 * j + s, lambda: 2 ** (s + 1) * 28 ** j, f"; plan: j={_written(j)} s={s}")
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
     family = trivial_construction(2)
     for _ in range(j):

@@ -206,6 +206,8 @@ def _layer1_shape(members, k: int) -> tuple[bool, bool, bool]:
 def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
     """The size facts of a minimum system, asked of k layers over one
     universe, bottom first (a canonical decomposition, or any layer tuple)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if len(layers) != k:
         raise ValueError(f"expected {k} layers, found {len(layers)}")
     per_layer = []

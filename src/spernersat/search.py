@@ -30,8 +30,31 @@ A complete candidate (a leaf) is tested in this order, each test exact:
      every accepted family;
   3. verify_saturated_k_sperner must give a true verdict; it decides every
      acceptance.
-The first two only skip leaves the third would reject or forcing would
-discard after it, so node counts equal those of verifying every leaf.
+
+Roots below the size and atom floors of _floors are never expanded: no
+family there is accepted (the argument is at _floors).  Above them, a
+candidate is turned down before the orbit check when no leaf below it can
+pass tests 1 and 2, so the verifier sees the same leaves in the same order
+as when every leaf of those roots was built.  Because a chosen member's
+depth is final, with forcing on and k >= 3 (the empty set alone at depth 1,
+so every singleton small sits at depth 2):
+  (a) a small of two atoms or more at depth 2 puts a non-singleton small in
+      layer 1;
+  (b) a second large at depth 2 puts two larges in layer 1;
+  (c) singletons come before every other candidate in the pool, so once a
+      non-singleton is reached with fewer than k-2 singletons chosen, no
+      later candidate can give layer 1 its k-2 smalls, and the candidate
+      loop ends;
+and under every setting
+  (d) each appended member raises the largest depth by at most 1, so a
+      candidate whose depth (or the chosen members' largest) plus the
+      members still to append after it stays below the depth limit (k-1
+      under forcing, where the full set adds the last level, k otherwise)
+      leaves every leaf below it with the wrong layer count.
+The chosen singletons and whether a depth-2 large is chosen travel with the
+depth-first stack.  With (d) and the chain prune every leaf has the largest
+depth test 1 asks for, so test 1 no longer turns a leaf down
+(layer_count_prunes reads 0); it stays as a one-line check.
 
 FOUND results are re-verified before they are returned.  NONE_WITHIN_BOUNDS
 is only emitted after the whole pruned space was exhausted, and the
@@ -89,8 +112,10 @@ class Certificate:
 @dataclass(frozen=True)
 class SearchCounts:
     """Where the candidates went.  Every candidate tried becomes a node or
-    exactly one of the chain and orbit prunes; every leaf node becomes
-    exactly one of the layer-count and shape prunes or a verified leaf."""
+    exactly one of the chain, orbit, singleton, reach and layer-1 prunes
+    (a singleton prune also ends its candidate loop); every leaf node
+    becomes exactly one of the layer-count and shape prunes or a verified
+    leaf."""
 
     candidates: int = 0
     chain_prunes: int = 0
@@ -98,6 +123,9 @@ class SearchCounts:
     layer_count_prunes: int = 0
     shape_prunes: int = 0
     leaves_verified: int = 0
+    singleton_prunes: int = 0
+    reach_prunes: int = 0
+    layer1_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,6 +183,50 @@ def _carried_depth(key: int, keys: list[int], depths: list[int]) -> int:
     return 1 + max((d for other, d in zip(keys, depths) if other & ~key == 0), default=0)
 
 
+def _floors(k: int, force: bool) -> tuple[int, int]:
+    """(size, atoms): the fewest members and atoms an accepted family has.
+
+    An accepted family has exactly k layers, each a saturated antichain.  A
+    one-member saturated layer is {empty set} (every atom subset contains
+    its small) or {all atoms + H} (every atom subset fits inside its large).
+    The first is inside every other member and the second holds every
+    other member, so they can sit only in layer 0 and in layer k-1, and
+    each of the k-2 layers between holds two members or more: size >= 2k-2
+    for k >= 2, and size >= 1 for k = 1.  Under forcing with k >= 3, layer
+    0 and layer k-1 are those two sets and layer 1 holds at least k-2
+    singleton smalls and one large: size >= 1 + (k-1) + 2(k-3) + 1 = 3k-5.
+    A chain over m atoms + H is smalls, then larges, and the atom count
+    rises at every step but the one from a small to a large, so it has at
+    most m+2 members; k layers need a chain of k members, so m >= k-2.
+    """
+    if force and k >= 3:
+        return 3 * k - 5, k - 2
+    return max(1, 2 * k - 2), max(0, k - 2)
+
+
+def _candidate_rejection(kind, depth: int, reach: int, singletons: int, large2: bool,
+                         k: int, forcing: bool) -> str | None:
+    """The SearchCounts field of the first test that turns down appending a
+    candidate of this kind (H flag, atom count) and carried depth, or None
+    when the orbit check has to decide.  reach is the larger of its depth
+    and the chosen members' largest, plus the members still to append after
+    it; singletons counts the chosen singleton smalls, and large2 says
+    whether a depth-2 large is chosen.  Below a turned-down candidate no
+    leaf passes _leaf_rejection (rules (a)-(d) of the module docstring), and
+    "singleton_prunes" turns down every later candidate of the pool too."""
+    shaped = forcing and k >= 3
+    if shaped and singletons < k - 2 and kind != (False, 1):
+        return "singleton_prunes"
+    depth_limit = k - 1 if forcing and k >= 2 else k
+    if depth > depth_limit:
+        return "chain_prunes"
+    if reach < depth_limit:
+        return "reach_prunes"
+    if shaped and depth == 2 and (large2 if kind[0] else kind[1] >= 2):
+        return "layer1_prunes"
+    return None
+
+
 def _leaf_rejection(members, depths, k: int, forcing: bool) -> str | None:
     """The SearchCounts field of the test that turns this complete candidate
     down before the verifier, or None when the verifier has to decide."""
@@ -192,16 +264,15 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     """
     k = bounds.k
     force = forcing and k >= 2
-    # Under forcing the full set with H sits one above every other member.
-    depth_limit = k - 1 if force else k
     nodes = 0
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
-    spaces = []  # _space(m, force) at index m
+    spaces = {}  # m -> _space(m, force)
 
-    def dfs(start, live, group, group_kind):
+    def dfs(start, live, group, group_kind, singletons, large2):
         # Extends chosen, keys and depths (every member but the forced top)
         # from pool[start:]; live, group and group_kind are the orbit check's
-        # state.  Returns the first verified family, or None.
+        # state, singletons and large2 _candidate_rejection's.  Returns the
+        # first verified family, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
@@ -216,12 +287,18 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             family = Family(m, tuple(members))
             return family if verify_saturated_k_sperner(family, k).verdict else None
         closed = None  # live restricted to the tables that fix group, once asked for
+        height = max(depths, default=0)
+        after = need - len(chosen) - 1  # members still to append after a candidate
         for idx in range(start, len(pool) + len(chosen) - need + 1):
             candidate, key, kind = pool[idx]
             tally["candidates"] += 1
             depth = _carried_depth(key, keys, depths)
-            if depth > depth_limit:
-                tally["chain_prunes"] += 1
+            reason = _candidate_rejection(kind, depth, max(height, depth) + after,
+                                          singletons, large2, k, forcing)
+            if reason is not None:
+                tally[reason] += 1
+                if reason == "singleton_prunes":
+                    break
                 continue
             if kind == group_kind:
                 next_live, next_group = live, group + [candidate.atom_mask]
@@ -235,7 +312,8 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             chosen.append(candidate)
             keys.append(key)
             depths.append(depth)
-            family = dfs(idx + 1, next_live, next_group, kind)
+            family = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
+                         large2 or (kind[0] and depth == 2))
             chosen.pop()
             keys.pop()
             depths.pop()
@@ -246,15 +324,16 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     def result(outcome, family=None, certificate=None):
         return SearchResult(outcome, family, nodes, certificate, SearchCounts(**tally))
 
+    size_floor, atom_floor = _floors(k, force)
     try:
-        for size in range(2 if force else 1, bounds.max_size + 1):
-            for m in range(bounds.max_atoms + 1):
-                if m == len(spaces):
-                    spaces.append(_space(m, force))
+        for size in range(size_floor, bounds.max_size + 1):
+            for m in range(atom_floor, bounds.max_atoms + 1):
+                if m not in spaces:
+                    spaces[m] = _space(m, force)
                 pool, tables, bottom, top = spaces[m]
                 need = size - len(top)
                 chosen, keys, depths = list(bottom), [packed_key(mem) for mem in bottom], [1] * len(bottom)
-                family = dfs(0, tables, [], None)
+                family = dfs(0, tables, [], None, 0, False)
                 if family is not None:
                     if not verify_saturated_k_sperner(family, k).verdict:
                         raise RuntimeError("search emitted an unverified family; this is a defect")

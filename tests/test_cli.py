@@ -205,6 +205,29 @@ def test_search_none_and_budget(capsys):
     assert "bad bounds" in err
 
 
+_FOUND_3 = "outcome: FOUND (nodes expanded: 3)\nminimum size within bounds: 4\n"
+
+
+def test_search_stats_go_to_stderr_after_the_output(tmp_path, capsys):
+    out_path = tmp_path / "min.txt"
+    argv = ("search", "--k", "3", "--max-atoms", "2", "--max-size", "4", "--output", str(out_path))
+    assert run(capsys, *argv) == (0, _FOUND_3, "")
+    assert run(capsys, *argv, "--stats") == (0, _FOUND_3, (
+        "candidates: 2\nchain_prunes: 0\norbit_prunes: 0\nlayer_count_prunes: 0\n"
+        "shape_prunes: 0\nleaves_verified: 1\nsingleton_prunes: 0\nreach_prunes: 0\n"
+        "layer1_prunes: 0\n"))
+
+
+def test_search_stats_on_an_exhausted_budget(capsys):
+    argv = ("search", "--k", "4", "--max-atoms", "3", "--max-size", "7", "--budget", "50")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (4, "")
+    assert run(capsys, *argv, "--stats") == (4, out, (
+        "candidates: 86\nchain_prunes: 12\norbit_prunes: 24\nlayer_count_prunes: 0\n"
+        "shape_prunes: 16\nleaves_verified: 12\nsingleton_prunes: 1\nreach_prunes: 0\n"
+        "layer1_prunes: 0\n"))
+
+
 # ----------------------------------------------------------------- atoms
 
 def test_atoms_command(tmp_path, capsys):
@@ -269,7 +292,7 @@ def test_search_to_an_unwritable_path_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "search", "--k", "3", "--max-atoms", "2", "--max-size", "4",
                          "--output", path)
     assert (code, err) == (2, message)
-    assert out == "outcome: FOUND (nodes expanded: 16)\nminimum size within bounds: 4\n"
+    assert out == "outcome: FOUND (nodes expanded: 3)\nminimum size within bounds: 4\n"
 
 
 # ------------------------------------------------------------ exit codes

@@ -242,6 +242,13 @@ def test_size_bounds_check_takes_any_layer_tuple():
     assert not diag.layer1_small_singletons
 
 
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_size_bounds_check_refuses_a_degree_below_one(k):
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        size_bounds_check((), k)
+
+
 # ------------------------------------------------------- concrete side
 
 def test_instantiate_three():

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from spernersat import (
@@ -32,6 +32,7 @@ from spernersat.saturation import _layer1_shape
 from spernersat.search import (
     SearchCounts,
     SearchResult,
+    _candidate_rejection,
     _carried_depth,
     _fixing,
     _image_tables,
@@ -115,7 +116,7 @@ def test_degree_three_has_nothing_below_four():
     result = search_min(SearchBounds(k=3, max_atoms=2, max_size=3))
     assert result.outcome == NONE_WITHIN_BOUNDS
     assert result.family is None
-    assert result.nodes == 12
+    assert result.nodes == 0
     cert = result.certificate
     assert (cert.k, cert.max_atoms, cert.max_size, cert.forced) == (3, 2, 3, True)
 
@@ -124,15 +125,29 @@ def test_degree_three_minimum_is_the_powerset():
     result = search_min(SearchBounds(k=3, max_atoms=2, max_size=4))
     assert result.outcome == FOUND
     assert result.family.size == 4
-    assert result.nodes == 16
+    assert result.nodes == 3
     assert canonical_form(result.family) == canonical_form(three_sperner())
 
 
 def test_degree_four_has_nothing_small():
     result = search_min(SearchBounds(k=4, max_atoms=3, max_size=7))
     assert result.outcome == NONE_WITHIN_BOUNDS
-    assert result.nodes == 933
+    assert result.nodes == 117
     assert result.certificate.forced
+
+
+@pytest.mark.parametrize("k, max_atoms, max_size, forcing", [
+    (5, 8, 9, True),     # size floor 3k-5 = 10
+    (5, 2, 15, True),    # atom floor k-2 = 3
+    (4, 8, 5, False),    # size floor 2k-2 = 6
+    (6, 3, 20, False),   # atom floor k-2 = 4
+])
+def test_a_box_below_a_floor_expands_no_node(k, max_atoms, max_size, forcing):
+    result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
+    assert (result.outcome, result.family, result.nodes) == (NONE_WITHIN_BOUNDS, None, 0)
+    assert result.counts == SearchCounts()
+    cert = result.certificate
+    assert (cert.k, cert.max_atoms, cert.max_size, cert.forced) == (k, max_atoms, max_size, forcing)
 
 
 def test_found_families_pass_the_concrete_oracle():
@@ -233,34 +248,35 @@ def test_forcing_agrees_with_free_search():
 # ------------------------------------------------------------- same tree
 
 def _roots(bounds, forcing, found=None):
-    """Depth-first roots: one per (size, m) that can hold the forced members,
-    up to the one that holds the found family."""
-    forced = 2 if forcing and bounds.k >= 2 else 0
+    """Depth-first roots: one per (size, m) at or above the floors, up to
+    the one that holds the found family."""
+    size_floor, atom_floor = _floors(bounds.k, forcing)
     roots = 0
-    for size in range(forced or 1, bounds.max_size + 1):
-        for m in range(bounds.max_atoms + 1):
+    for size in range(size_floor, bounds.max_size + 1):
+        for m in range(atom_floor, bounds.max_atoms + 1):
             roots += 1
             if found is not None and (size, m) == (found.size, found.m):
                 return roots
     return roots
 
 
-# candidates, chain, orbit, layer-count and shape prunes, leaves verified
+# candidates, chain, orbit, layer-count and shape prunes, leaves verified,
+# singleton, reach and layer-1 prunes
 _PINNED_COUNTS = {
-    (4, 4, 8, True): SearchCounts(15407, 2690, 3650, 513, 6002, 336),
-    (6, 3, 20, True): SearchCounts(8391, 0, 1230, 3309, 0, 0),
-    (5, 3, 15, True): SearchCounts(8377, 0, 1230, 875, 2231, 202),
-    (3, 3, 8, False): SearchCounts(482, 0, 140, 221, 0, 41),
-    (3, 4, 6, False): SearchCounts(1630, 0, 709, 662, 0, 101),
+    (4, 4, 8, True): SearchCounts(1313, 330, 285, 0, 230, 284, 5, 1, 14),
+    (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (5, 3, 15, True): SearchCounts(1169, 0, 250, 0, 144, 183, 15, 18, 0),
+    (3, 3, 8, False): SearchCounts(4, 0, 0, 0, 0, 1, 0, 0, 0),
+    (3, 4, 6, False): SearchCounts(4, 0, 0, 0, 0, 1, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("k, max_atoms, max_size, forcing, outcome, nodes, size", [
-    (4, 4, 8, True, FOUND, 9100, 8),
-    (6, 3, 20, True, NONE_WITHIN_BOUNDS, 7237, None),
-    (5, 3, 15, True, NONE_WITHIN_BOUNDS, 7203, None),
-    (3, 3, 8, False, FOUND, 356, 4),
-    (3, 4, 6, False, FOUND, 938, 4),
+    (4, 4, 8, True, FOUND, 682, 8),
+    (6, 3, 20, True, NONE_WITHIN_BOUNDS, 0, None),
+    (5, 3, 15, True, NONE_WITHIN_BOUNDS, 892, None),
+    (3, 3, 8, False, FOUND, 5, 4),
+    (3, 4, 6, False, FOUND, 5, 4),
 ])
 def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome, nodes, size):
     bounds = SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size)
@@ -270,7 +286,18 @@ def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome
     c = result.counts
     assert c == _PINNED_COUNTS[k, max_atoms, max_size, forcing]
     roots = _roots(bounds, forcing, result.family)
-    assert result.nodes == roots + c.candidates - c.chain_prunes - c.orbit_prunes
+    assert result.nodes == roots + c.candidates - _candidate_prunes(c)
+
+
+def test_free_search_expands_the_pinned_tree():
+    """Without forcing, only the chain, reach and orbit prunes act on
+    candidates, and every leaf goes to the verifier."""
+    bounds = SearchBounds(k=4, max_atoms=3, max_size=8)
+    result = search_min(bounds, forcing=False)
+    assert (result.outcome, result.nodes, result.family.size) == (FOUND, 3752, 8)
+    c = result.counts
+    assert c == SearchCounts(6232, 211, 561, 0, 0, 1521, 0, 1713, 0)
+    assert result.nodes == _roots(bounds, False, result.family) + c.candidates - _candidate_prunes(c)
 
 
 def _floors(k, forcing):
@@ -314,7 +341,8 @@ def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
 
 @pytest.mark.parametrize("k, max_atoms, max_size, built", [
     (2, 8, 2, [0]),             # found on 0 atoms: the 10 MB tables of m = 8 are never built
-    (4, 3, 7, [0, 1, 2, 3]),    # exhausted over six sizes: each m's tables built once
+    (4, 3, 7, [2, 3]),          # exhausted at the size floor: no tables below the atom floor
+    (4, 3, 8, [2, 3]),          # found at the second size: each m's tables built once
 ])
 def test_image_tables_are_built_once_per_m_when_reached(monkeypatch, k, max_atoms, max_size, built):
     calls = []
@@ -323,18 +351,25 @@ def test_image_tables_are_built_once_per_m_when_reached(monkeypatch, k, max_atom
     assert calls == built
 
 
-def test_search_counts_account_for_every_candidate():
-    bounds = SearchBounds(k=3, max_atoms=2, max_size=3)
+def _candidate_prunes(c):
+    return c.chain_prunes + c.orbit_prunes + c.singleton_prunes + c.reach_prunes + c.layer1_prunes
+
+
+def test_search_counts_account_for_every_candidate(monkeypatch):
+    leaves = []
+    monkeypatch.setattr(search_mod, "_leaf_rejection",
+                        lambda *args: leaves.append(args) or _leaf_rejection(*args))
+    bounds = SearchBounds(k=4, max_atoms=4, max_size=8)
     result = search_min(bounds)
-    assert result.nodes == 12
+    assert result.nodes == 682
     c = result.counts
-    assert c == SearchCounts(candidates=8, chain_prunes=0, orbit_prunes=2,
-                             layer_count_prunes=3, shape_prunes=6, leaves_verified=0)
+    assert c == SearchCounts(candidates=1313, chain_prunes=330, orbit_prunes=285,
+                             layer_count_prunes=0, shape_prunes=230, leaves_verified=284,
+                             singleton_prunes=5, reach_prunes=1, layer1_prunes=14)
     # every candidate tried is a node or exactly one prune
-    assert result.nodes == _roots(bounds, True) + c.candidates - c.chain_prunes - c.orbit_prunes
-    # the size-2 roots are leaves, and so is every node below a size-3 root
-    leaves = 3 + (result.nodes - 6)
-    assert c.layer_count_prunes + c.shape_prunes + c.leaves_verified == leaves
+    assert result.nodes == _roots(bounds, True, result.family) + c.candidates - _candidate_prunes(c)
+    # every leaf is turned down before the verifier or verified
+    assert c.layer_count_prunes + c.shape_prunes + c.leaves_verified == len(leaves)
     assert SearchResult(FOUND, None, 0, None).counts == SearchCounts()
 
 
@@ -369,6 +404,74 @@ def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
         wanted = report.layer_count == k and (
             not forcing or k < 3 or all(_layer1_shape(report.decomposition[1].members, k)))
         assert (_leaf_rejection(members, depths, k, forcing) is None) == wanted
+
+
+def _depths(members):
+    keys, depths = [], []
+    for mem in members:
+        depths.append(_carried_depth(packed_key(mem), keys, depths))
+        keys.append(packed_key(mem))
+    return depths
+
+
+@st.composite
+def _partial_states(draw):
+    """(k, forcing, pool, top, chosen, idx, after): members chosen in
+    canonical order from the search's pool on m <= 3 atoms (after the forced
+    bottom), the index of the next candidate, and how many members a leaf
+    holds after it, the forced top aside."""
+    m = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 6))
+    forcing = draw(st.booleans())
+    pool, _, bottom, top = search_mod._space(m, forcing and k >= 2)
+    assume(pool)
+    idx = draw(st.integers(0, len(pool) - 1))
+    picks = [i for i in range(idx) if draw(st.booleans())]
+    after = draw(st.integers(0, min(5, len(pool) - idx - 1)))
+    return k, forcing, pool, top, bottom + [pool[i][0] for i in picks], idx, after
+
+
+def _state(m, k, chosen, candidate, after):
+    """A forced partial state as _partial_states draws it."""
+    pool, _, bottom, top = search_mod._space(m, True)
+    idx = [mem for mem, _, _ in pool].index(candidate)
+    return k, True, pool, top, bottom + chosen, idx, after
+
+
+# Random states seldom reach a layer-1 prune, so rules (a) and (b) also get
+# one state each: {2,3} after the singleton {1}, and H+{3} after H+{2}.
+@settings(max_examples=300, deadline=None)
+@given(_partial_states())
+@example(_state(3, 3, [Member(0b001, False)], Member(0b110, False), 1))
+@example(_state(3, 3, [Member(0b001, False), Member(0b010, True)], Member(0b100, True), 1))
+def test_candidate_rules_turn_down_only_rejected_subtrees(state):
+    """Whenever a candidate-level test fires, _leaf_rejection turns down every
+    completion below it (for a singleton prune, below every later candidate
+    too), whether or not the search would reach the state."""
+    k, forcing, pool, top, chosen, idx, after = state
+    depths = _depths(chosen)
+    singletons = sum(not mem.has_H and mem.atom_count == 1 for mem in chosen)
+    large2 = any(mem.has_H and d == 2 for mem, d in zip(chosen, depths))
+
+    def rejection(j):
+        candidate, key, kind = pool[j]
+        depth = _carried_depth(key, [packed_key(mem) for mem in chosen], depths)
+        return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
+                                    singletons, large2, k, forcing)
+
+    reason = rejection(idx)
+    event(str(reason))
+    if reason is None:
+        return
+    if reason == "singleton_prunes":
+        assert all(rejection(j) == reason for j in range(idx, len(pool)))
+        completions = combinations([mem for mem, _, _ in pool[idx:]], after + 1)
+    else:
+        completions = ([pool[idx][0], *rest]
+                       for rest in combinations([mem for mem, _, _ in pool[idx + 1:]], after))
+    for completion in completions:
+        members = chosen + list(completion) + top
+        assert _leaf_rejection(members, _depths(members), k, forcing) is not None, (reason, members)
 
 
 def _relabel(mask, perm):
