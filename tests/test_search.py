@@ -271,14 +271,19 @@ _PINNED_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("k, max_atoms, max_size, forcing, outcome, nodes, size", [
-    (4, 4, 8, True, FOUND, 682, 8),
-    (6, 3, 20, True, NONE_WITHIN_BOUNDS, 0, None),
-    (5, 3, 15, True, NONE_WITHIN_BOUNDS, 892, None),
-    (3, 3, 8, False, FOUND, 5, 4),
-    (3, 4, 6, False, FOUND, 5, 4),
-])
-def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing, outcome, nodes, size):
+# outcome, nodes and found size of each pinned box, kept out of the test ids
+_PINNED_TREES = {
+    (4, 4, 8, True): (FOUND, 682, 8),
+    (6, 3, 20, True): (NONE_WITHIN_BOUNDS, 0, None),
+    (5, 3, 15, True): (NONE_WITHIN_BOUNDS, 892, None),
+    (3, 3, 8, False): (FOUND, 5, 4),
+    (3, 4, 6, False): (FOUND, 5, 4),
+}
+
+
+@pytest.mark.parametrize("k, max_atoms, max_size, forcing", list(_PINNED_TREES))
+def test_search_expands_the_pinned_tree(k, max_atoms, max_size, forcing):
+    outcome, nodes, size = _PINNED_TREES[k, max_atoms, max_size, forcing]
     bounds = SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size)
     result = search_min(bounds, forcing=forcing)
     assert (result.outcome, result.nodes) == (outcome, nodes)
@@ -373,6 +378,15 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
     assert SearchResult(FOUND, None, 0, None).counts == SearchCounts()
 
 
+def _depths(members):
+    """Carried depths of members appended one by one in canonical order."""
+    keys, depths = [], []
+    for mem in members:
+        depths.append(_carried_depth(packed_key(mem), keys, depths))
+        keys.append(packed_key(mem))
+    return depths
+
+
 @st.composite
 def _canonical_members(draw):
     """(m, forced, members): duplicate-free, in canonical order, with the
@@ -391,10 +405,7 @@ def _canonical_members(draw):
 @given(_canonical_members(), st.integers(1, 6))
 def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
     m, forced, members = case
-    keys, depths = [], []
-    for mem in members:
-        depths.append(_carried_depth(packed_key(mem), keys, depths))
-        keys.append(packed_key(mem))
+    depths = _depths(members)
     assert depths == member_depths(members).tolist()
     if forced:
         # the search sets the forced top's depth without a scan
@@ -404,14 +415,6 @@ def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
         wanted = report.layer_count == k and (
             not forcing or k < 3 or all(_layer1_shape(report.decomposition[1].members, k)))
         assert (_leaf_rejection(members, depths, k, forcing) is None) == wanted
-
-
-def _depths(members):
-    keys, depths = [], []
-    for mem in members:
-        depths.append(_carried_depth(packed_key(mem), keys, depths))
-        keys.append(packed_key(mem))
-    return depths
 
 
 @st.composite
@@ -454,7 +457,7 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     large2 = any(mem.has_H and d == 2 for mem, d in zip(chosen, depths))
 
     def rejection(j):
-        candidate, key, kind = pool[j]
+        _, key, kind = pool[j]
         depth = _carried_depth(key, [packed_key(mem) for mem in chosen], depths)
         return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
                                     singletons, large2, k, forcing)
