@@ -1,6 +1,7 @@
 """Layer checks, the verifier, the concrete brute-force oracle, and the
 probabilistic helpers."""
 
+import hashlib
 import random
 import time
 import tracemalloc
@@ -360,6 +361,29 @@ def test_brute_force_tables_memory():
         tracemalloc.stop()
     # six 2^20-entry int8/bool arrays at the peak
     assert peak < 8 * 2**20, peak
+
+
+def test_oracle_verdicts_are_pinned():
+    """Regression pin: one digest over the oracle's verdict bits on 3,000
+    seeded arbitrary families over n <= 10 elements with up to 40 members,
+    at every k = 1..n+2, and on every built-in at h = 2..4 at its degree
+    and the degrees next to it."""
+    rng = random.Random(1313)
+    bits = []
+    for _ in range(3000):
+        n = rng.randint(0, 10)
+        members = rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n)))
+        c = ConcreteFamily(n, tuple(members))
+        bits.extend(brute_force_saturated(c, k) for k in range(1, n + 3))
+    for _name, f, k in builtin_families() + composed_families():
+        for h in (2, 3, 4):
+            if f.m + h <= ORACLE_MAX_GROUND:
+                concrete = instantiate(f, h)
+                bits.extend(brute_force_saturated(concrete, probe) for probe in (k - 1, k, k + 1)
+                            if probe >= 1)
+    text = "".join("1" if bit else "0" for bit in bits)
+    assert (len(bits), sum(bits)) == (21059, 879)
+    assert hashlib.sha256(text.encode()).hexdigest() == "9d639087d29843045091bf563080e59f31edd52a80a7780d2bdb5f3982d6e52b"
 
 
 @pytest.mark.parametrize("k", range(2, 17))
