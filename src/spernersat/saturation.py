@@ -14,14 +14,16 @@ The module also carries the fully concrete side: instantiating the block H
 as h real elements, recovering the atom structure of a concrete family
 from membership fingerprints, and a brute-force saturation oracle that
 works on raw subsets of {1..n} and never consults the layer machinery.
+The oracle keeps its own kernel: each set of subsets of {1..n} is one
+Python int with a bit per point of P([n]), chain depths come from peeling
+levels of the member table with its own strict-closure bit loop, and no
+numpy call is made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-
-import numpy as np
 
 from .family import (
     MAX_ATOMS,
@@ -313,35 +315,63 @@ def find_atoms(c: ConcreteFamily) -> AtomPartition:
     return AtomPartition(c.n, tuple(classes))
 
 
-def _oracle_strict_max(table: np.ndarray, n: int, from_below: bool) -> np.ndarray:
-    """Closes table in place to the max over subsets (from_below) or
-    supersets of each T, and returns the max over proper ones (0 if none).
-    Kept apart from the verifier's lattice closure so the oracle stays independent."""
-    strict = np.zeros_like(table)
-    lo, hi = (0, 1) if from_below else (1, 0)
+def _oracle_halves(n: int) -> list[int]:
+    """halves[b]: the points of P([n]) whose bit b is clear, as a table.
+    Blocks of 2^b ones alternate with 2^b zeros from point 0 on; the block
+    pair is doubled until it spans all 2^n points."""
+    size = 1 << n
+    halves = []
     for b in range(n):
-        incl = table.reshape(-1, 2, 1 << b)
-        out = strict.reshape(-1, 2, 1 << b)
-        np.maximum(out[:, hi, :], incl[:, lo, :], out=out[:, hi, :])
-        np.maximum(incl[:, hi, :], incl[:, lo, :], out=incl[:, hi, :])
-    return strict
+        width = 1 << b
+        mask, span = (1 << width) - 1, 2 * width
+        while span < size:
+            mask |= mask << span
+            span *= 2
+        halves.append(mask)
+    return halves
 
 
-def _oracle_depths(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(down, up): the number of members on the longest chain ending and
-    starting at each member.  keys are the member masks, duplicate-free and
-    sorted by (popcount, value), so the earlier bit-subsets of keys[j] are
-    its proper subsets.  up is the same pass over ~keys[::-1], reversed
-    back: complementing every bit turns supersets into subsets, and the
-    reversed order again puts them first.  Kept apart from the verifier's
-    member_depths so the oracle stays independent."""
-    passes = []
-    for ordered in (keys, ~keys[::-1]):
-        depth = np.ones(len(ordered), dtype=np.int8)
-        for j in range(len(ordered)):
-            depth[j] = 1 + depth[:j][(ordered[:j] & ~ordered[j]) == 0].max(initial=0)
-        passes.append(depth)
-    return passes[0], passes[1][::-1]
+def _oracle_strict_closure(table: int, halves: list[int], upward: bool) -> int:
+    """The sets that properly contain (upward) or lie properly inside a set
+    of the table.  After bits 0..b-1, incl holds each S reached from a table
+    set t by adding (removing) bits below b, and proper those with S != t.
+    Bit b moves every incl point across b: moved joins both, and proper
+    needs nothing of its own, since proper is inside incl.  Kept apart from
+    the verifier's lattice closure so the oracle stays independent."""
+    incl = table
+    proper = 0
+    for b, half in enumerate(halves):
+        moved = (incl & half) << (1 << b) if upward else (incl >> (1 << b)) & half
+        proper |= moved
+        incl |= moved
+    return proper
+
+
+def _oracle_levels(members: int, halves: list[int], upward: bool, limit: int) -> tuple[list[int], int]:
+    """(closures, rest) for the level peeling of a member table.  Level 1
+    is the members; level d+1 is the members inside the strict closure of
+    level d.  So, by induction, level d holds the members with a chain of d
+    members ending (upward) or starting (downward) at them, and the strict
+    closure of level d holds every set with a chain of d members strictly
+    below (above) it.  closures has these closures for levels 1..j, where j
+    is the number of nonempty levels, at most limit; rest is level j+1
+    (0 when it is empty), so it is nonempty iff some chain has more than
+    limit members."""
+    closures = []
+    level = members
+    while level and len(closures) < limit:
+        closures.append(_oracle_strict_closure(level, halves, upward))
+        level = members & closures[-1]
+    return closures, level
+
+
+def _oracle_member_table(members: tuple[int, ...], n: int) -> int:
+    """The table of the member masks, set byte by byte: OR-ing 1 << s per
+    member would copy the whole 2^n-bit int each time."""
+    table = bytearray(((1 << n) + 7) // 8)
+    for s in members:
+        table[s >> 3] |= 1 << (s & 7)
+    return int.from_bytes(table, "little")
 
 
 def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
@@ -349,31 +379,39 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
 
     True iff the family has no chain of k+1 members and, for every absent
     subset S of {1..n}, inserting S would close a chain of k+1 sets:
-    1 + (longest chain strictly below S) + (longest chain strictly above S)
-    must reach k+1.  Works directly on subset masks; independent of the
-    layer-based verifier.
+    some d members strictly below S and k-d strictly above it.  Works on
+    tables of subset masks (one Python int over the 2^n points of P([n]));
+    independent of the layer-based verifier.
+
+    B_d, the strict up-closure of up-level d, is the sets with a chain of
+    d members below them, and A_e the same downward.  Up-level k+1 is
+    nonempty iff some chain has k+1 members, so the up peel stops there.
+    Otherwise let L <= k be the longest chain: B_d is empty beyond L, and
+    so is A_e, since the down peel has as many levels.  With B_0 = A_0 =
+    every set, an absent S closes a chain iff S is in B_d and A_(k-d) for
+    some d, and only k-L <= d <= L can meet.  So the family is saturated
+    iff the members and these intersections cover every point.  Each
+    closure is n masked shifts of a 2^n-bit int, and at most 2L of them
+    run: O(L*n*2^n) bit operations.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if c.n > ORACLE_MAX_GROUND:
         raise CapacityError(f"ground set of size {c.n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
-    # A chain in P([n]) has at most n+1 <= 25 sets, so the depths and the
-    # sums of two of them fit in int8.
-    keys = np.array(c.members, dtype=np.int64)
-    down, up = _oracle_depths(keys)
-    longest = int((down + up - 1).max(initial=0))
-    if longest > k:
+    halves = _oracle_halves(c.n)
+    members = _oracle_member_table(c.members, c.n)
+    below, rest = _oracle_levels(members, halves, True, k)
+    if rest:
         return False
-    size = 1 << c.n
-    below_incl = np.zeros(size, dtype=np.int8)
-    below_incl[keys] = down
-    below_strict = _oracle_strict_max(below_incl, c.n, from_below=True)
-    above_incl = np.zeros(size, dtype=np.int8)
-    above_incl[keys] = up
-    above_strict = _oracle_strict_max(above_incl, c.n, from_below=False)
-    closes = below_strict + above_strict >= k
-    closes[keys] = True
-    return bool(closes.all())
+    above, _ = _oracle_levels(members, halves, False, k)
+    longest = len(below)
+    everything = (1 << (1 << c.n)) - 1
+    below.insert(0, everything)  # below[d] is B_d
+    above.insert(0, everything)  # above[e] is A_e
+    covered = members
+    for d in range(k - longest, longest + 1):
+        covered |= below[d] & above[k - d]
+    return covered == everything
 
 
 def eps_of(i: int, k: int) -> float:

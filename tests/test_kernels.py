@@ -1,19 +1,27 @@
-"""The packed lattice kernels and the oracle's butterfly against direct
-O(4^m) definitions, the oracle's chain depths against a memoized
-longest-chain definition, and the guards on what the layer verifier
+"""The packed lattice kernels and the oracle's bit-table closure against
+direct O(4^m) definitions, the oracle's level peeling against a memoized
+longest-chain definition, the oracle against the direct definition of a
+saturated k-Sperner system, and the guards on what the layer verifier
 reaches: nothing of the brute-force oracle, and no pair scan on its own
 layers."""
 
 from functools import cache
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spernersat import saturation
 from spernersat import Family, Member
 from spernersat.lattice import closure, first_hole, pack
-from spernersat.saturation import ConcreteFamily, _first_uncovered, _oracle_depths, _oracle_strict_max
+from spernersat.saturation import (
+    ConcreteFamily,
+    _first_uncovered,
+    _oracle_halves,
+    _oracle_levels,
+    _oracle_member_table,
+    _oracle_strict_closure,
+    brute_force_saturated,
+)
 from helpers import reachable
 
 
@@ -88,18 +96,18 @@ def test_first_uncovered_matches_definition(layer):
     assert _first_uncovered(layer) == min(holes, key=lambda t: (t.bit_count(), t), default=None)
 
 
+# n up to 8, so the closure shifts whole bytes (bit 3 on) as well as bits inside one
 @settings(max_examples=200, deadline=None)
-@given(_tables(st.integers(0, 40)), st.booleans())
-def test_oracle_kernel_matches_definition(case, from_below):
-    m, values = case
-    table = np.array(values, dtype=np.int16)
-    strict = _oracle_strict_max(table, m, from_below=from_below)
-    size = 1 << m
-    incl = [max(values[s] for s in range(size) if _related(s, t, from_below)) for t in range(size)]
-    proper = [max((values[s] for s in range(size) if s != t and _related(s, t, from_below)), default=0)
-              for t in range(size)]
-    assert table.tolist() == incl
-    assert strict.tolist() == proper
+@given(_tables(st.booleans(), max_m=8), st.booleans())
+def test_oracle_closure_matches_definition(case, upward):
+    n, values = case
+    table = sum(1 << t for t, v in enumerate(values) if v)
+    proper = _oracle_strict_closure(table, _oracle_halves(n), upward)
+    size = 1 << n
+    want = [any(values[s] for s in range(size) if s != t and _related(s, t, upward))
+            for t in range(size)]
+    assert proper < 1 << size
+    assert _unpack(proper, n) == want
 
 
 @st.composite
@@ -109,28 +117,66 @@ def _concrete_families(draw):
     return ConcreteFamily(n, tuple(draw(st.sets(st.integers(0, (1 << n) - 1), max_size=40))))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_concrete_families())
-def test_oracle_depths_match_longest_chain_definition(c):
-    mems = c.members
-
+def _longest_chains(mems):
+    """(below, above): the members on the longest chain of members ending
+    and starting at a member, memoized."""
     @cache
-    def below(x):  # members on the longest chain of members ending at x
+    def below(x):
         return 1 + max((below(y) for y in mems if y != x and y & ~x == 0), default=0)
 
     @cache
-    def above(x):  # members on the longest chain of members starting at x
+    def above(x):
         return 1 + max((above(y) for y in mems if y != x and x & ~y == 0), default=0)
 
-    down, up = _oracle_depths(np.array(mems, dtype=np.int64))
-    assert down.tolist() == [below(x) for x in mems]
-    assert up.tolist() == [above(x) for x in mems]
+    return below, above
+
+
+@settings(max_examples=300, deadline=None)
+@given(_concrete_families(), st.integers(1, 12))
+def test_oracle_levels_match_longest_chain_definition(c, limit):
+    members = _oracle_member_table(c.members, c.n)
+    assert members == sum(1 << x for x in c.members)
+    halves = _oracle_halves(c.n)
+    for upward, chain in zip((True, False), _longest_chains(c.members)):
+        longest = max(map(chain, c.members), default=0)
+        closures, rest = _oracle_levels(members, halves, upward, limit)
+        assert len(closures) == min(longest, limit)
+        # level d + 1 is the members inside the strict closure of level d
+        levels = [members] + [members & closed for closed in closures]
+        for d, level in enumerate(levels, 1):
+            assert level == sum(1 << x for x in c.members if chain(x) >= d), (upward, d)
+        assert rest == levels[-1]
+        assert bool(rest) == (longest > limit)
+
+
+@st.composite
+def _tiny_concrete_families(draw):
+    # any family over n <= 5 elements, so every one of the 2^n sets can be tried
+    n = draw(st.integers(0, 5))
+    return ConcreteFamily(n, tuple(draw(st.sets(st.integers(0, (1 << n) - 1)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiny_concrete_families())
+def test_oracle_matches_the_definition_of_saturation(c):
+    below, above = _longest_chains(c.members)
+    mems = set(c.members)
+
+    def closing(s):  # sets on the longest chain through the absent set s
+        return (1 + max((below(y) for y in mems if y & ~s == 0), default=0)
+                + max((above(y) for y in mems if s & ~y == 0), default=0))
+
+    longest = max(map(below, c.members), default=0)
+    absent = [s for s in range(1 << c.n) if s not in mems]
+    for k in range(1, c.n + 3):
+        want = longest <= k and all(closing(s) >= k + 1 for s in absent)
+        assert brute_force_saturated(c, k) == want, k
 
 
 def test_oracle_shares_no_function_with_the_verifier():
     oracle = reachable(saturation.brute_force_saturated)
     verifier = reachable(saturation.verify_saturated_k_sperner)
-    assert "spernersat.saturation._oracle_strict_max" in oracle
+    assert "spernersat.saturation._oracle_strict_closure" in oracle
     assert "spernersat.lattice.closure" in verifier
     assert "spernersat.family.member_depths" in verifier
     assert oracle.isdisjoint(verifier), oracle & verifier

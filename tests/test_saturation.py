@@ -342,7 +342,8 @@ def test_oracle_equivalence_sample():
 
 
 def test_brute_force_degree_beyond_int8():
-    # The depth tables are int8; a degree of 128 or more must not wrap.
+    # Degrees far above the longest chain in P([n]) (n+1 sets), past any
+    # fixed-width integer a depth table could use.
     for k in (127, 128, 255, 256, 300):
         assert not brute_force_saturated(ConcreteFamily(2, (0, 0b11)), k)
         # no set is absent from P([3]), and its chains have 4 sets
@@ -359,7 +360,7 @@ def test_brute_force_tables_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # six 2^20-entry int8/bool arrays at the peak
+    # the 20 half masks and a few 2^20-bit tables, 128 KiB each: ~3.7 MiB at the peak
     assert peak < 8 * 2**20, peak
 
 

@@ -188,10 +188,11 @@ def _enumerated_min(k, max_atoms, max_size):
     return None
 
 
-# (k, max_atoms, top): one box for each max_size from 1 to top, 204 boxes in
-# all.  k = 4 and 5 at three atoms agree as well, but take 6.5 s and 9 s.
+# (k, max_atoms, top): one box for each max_size from 1 to top, 220 boxes in
+# all.  Four atoms are left out: the enumerator tries every member set of 32
+# candidates, ~243k of them up to size 5, ~10 s at k = 4.
 _ORACLE_BOXES = ([(k, atoms, 10) for k in range(1, 7) for atoms in range(3)]
-                 + [(k, 3, 8) for k in range(1, 4)])
+                 + [(k, 3, 8) for k in range(1, 6)])
 
 
 def test_search_min_agrees_with_the_enumerator():
@@ -210,7 +211,7 @@ def test_search_min_agrees_with_the_enumerator():
                 assert (result.family.size if result.family else None) == want, \
                     (k, max_atoms, max_size, forcing)
                 runs += 1
-    assert runs == 408
+    assert runs == 440
 
 
 def test_the_enumerator_shares_no_function_with_the_search():
