@@ -23,6 +23,7 @@ both well inside the 1e-12 absolute-error budget.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .family import CapacityError
@@ -246,10 +247,12 @@ def upper_bound_report(k: int) -> BoundReport:
     )
 
 
-def bound_table(k_lo: int, k_hi: int) -> list[BoundReport]:
+def bound_table(k_lo: int, k_hi: int) -> Iterator[BoundReport]:
+    """The reports for k_lo..k_hi, made one at a time as they are read; the
+    range and the layer-term count are checked at the call."""
     if not 2 <= k_lo <= k_hi:
         raise ValueError("need 2 <= k_lo <= k_hi")
     # sum of k // 2 over k = 0..n is (n // 2) * ((n + 1) // 2)
     terms = (k_hi // 2) * ((k_hi + 1) // 2) - ((k_lo - 1) // 2) * (k_lo // 2)
     _check_terms(terms, f"table {k_lo}..{k_hi}")
-    return [upper_bound_report(k) for k in range(k_lo, k_hi + 1)]
+    return map(upper_bound_report, range(k_lo, k_hi + 1))

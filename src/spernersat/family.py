@@ -241,6 +241,15 @@ def longest_chain_length(f: Family) -> int:
     return int(member_depths(f.members).max())
 
 
+def _depth_layers(members, depths) -> list[list[Member]]:
+    """The members grouped by depth, in their given order: layer i holds the
+    members of depth i+1, and there are as many layers as the largest depth."""
+    layers = [[] for _ in range(max(depths, default=0))]
+    for mem, d in zip(members, depths):
+        layers[d - 1].append(mem)
+    return layers
+
+
 def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     """Peel minimal members into layers: layer i collects the members whose
     longest chain from below has exactly i+1 members, so there are as many
@@ -249,10 +258,7 @@ def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     layer i (i >= 1) properly contains a member of layer i-1."""
     if not f.members:
         raise ValueError("cannot decompose an empty family")
-    depth = member_depths(f.members)
-    layers = [[] for _ in range(int(depth.max()))]
-    for mem, d in zip(f.members, depth.tolist()):
-        layers[d - 1].append(mem)
+    layers = _depth_layers(f.members, member_depths(f.members).tolist())
     return tuple(Family(f.m, tuple(layer)) for layer in layers)
 
 

@@ -5,10 +5,11 @@ atom universe contains some small member or fits inside some large one.
 Checking all 2^m subsets is exact: a candidate set meeting only part of H
 compares to smalls and larges exactly as its atom part does.  A system is
 a saturated k-Sperner family precisely when its canonical decomposition
-has exactly k layers and each layer passes this test; the report keeps
-those layers, and size_bounds_check asks the size facts of minimum systems
-of any such layer tuple.  Every report that is a JSON document of its own
-gets to_json_dict from one base class.
+has exactly k layers and each layer passes this test; the verifier scans
+the atom masks of each depth's members, from depths the search may carry.
+size_bounds_check asks the size facts of minimum systems of any layer
+tuple.  Every report that is a JSON document of its own gets to_json_dict
+from one base class.
 
 The module also carries the fully concrete side: instantiating the block H
 as h real elements, recovering the atom structure of a concrete family
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import islice
 
 from .family import (
     MAX_ATOMS,
     CapacityError,
     Family,
     Member,
+    _depth_layers,
     _parse_members,
     atoms_of_mask,
-    canonical_decomposition,
     member_depths,
 )
 from .lattice import SCAN_MAX_ATOMS, closure, first_hole, pack
@@ -41,11 +43,12 @@ from .lattice import SCAN_MAX_ATOMS, closure, first_hole, pack
 ORACLE_MAX_GROUND = 24
 
 
-def _first_uncovered(layer: Family) -> int | None:
-    """Mask of the first uncovered atom subset in canonical order, or None."""
-    covered = closure(pack([mem.atom_mask for mem in layer.smalls()], layer.m), layer.m, upward=True)
-    covered |= closure(pack([mem.atom_mask for mem in layer.larges()], layer.m), layer.m, upward=False)
-    return first_hole(covered, layer.m)
+def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None:
+    """Mask of the first atom subset of m atoms, in canonical order, that
+    contains no mask of smalls and fits inside no mask of larges, or None."""
+    covered = closure(pack(smalls, m), m, upward=True)
+    covered |= closure(pack(larges, m), m, upward=False)
+    return first_hole(covered, m)
 
 
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
@@ -58,7 +61,8 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     # one level of the depth peeling: no member is on a second level
     if layer.members and member_depths(layer.members).max() > 1:
         raise ValueError("input is not an antichain")
-    witness = _first_uncovered(layer)
+    witness = _first_uncovered(layer.m, [mem.atom_mask for mem in layer.smalls()],
+                               [mem.atom_mask for mem in layer.larges()])
     return witness is None, witness
 
 
@@ -70,7 +74,7 @@ def _json_fields(report) -> dict:
     """A report's fields in declaration order as JSON values.  Metadata
     renames or moves a field: atoms=name writes an atom mask as its atom
     list (or null) under name, margin=name puts the value under "margins"
-    (the last key) by name, and json=False leaves the field out."""
+    (the last key) by name."""
     out, margins = {}, {}
     for f in fields(report):
         value = getattr(report, f.name)
@@ -78,7 +82,7 @@ def _json_fields(report) -> dict:
             out[f.metadata["atoms"]] = None if value is None else list(atoms_of_mask(value))
         elif "margin" in f.metadata:
             margins[f.metadata["margin"]] = _json_value(value)
-        elif f.metadata.get("json", True):
+        else:
             out[f.name] = _json_value(value)
     return {**out, "margins": margins} if margins else out
 
@@ -136,7 +140,6 @@ class VerificationReport(_JsonDocument):
     layer_count: int
     layers: tuple[LayerReport, ...]
     reasons: tuple[Reason, ...]
-    decomposition: tuple[Family, ...] = field(metadata={"json": False})
 
 
 def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
@@ -148,28 +151,35 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         raise ValueError("family is empty")
     if f.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {f.m} is too large for the exhaustive scan")
-    decomposition = canonical_decomposition(f)
+    return _verify_layers(f.m, f.members, member_depths(f.members).tolist(), k)
+
+
+def _verify_layers(m: int, members, depths, k: int) -> VerificationReport:
+    """verify_saturated_k_sperner's report, past its input checks, for
+    members over m atoms with their depths: layer i is those of depth i+1."""
+    layers = _depth_layers(members, depths)
     layer_reports = []
     reasons = []
-    for index, layer in enumerate(decomposition):
+    for index, layer in enumerate(layers):
+        smalls = [mem.atom_mask for mem in layer if not mem.has_H]
+        larges = [mem.atom_mask for mem in layer if mem.has_H]
         # Members of equal depth cannot properly contain one another: no antichain check.
-        witness = _first_uncovered(layer)
+        witness = _first_uncovered(m, smalls, larges)
         layer_reports.append(LayerReport(
             index=index,
-            size=layer.size,
-            small=len(layer.smalls()),
-            large=len(layer.larges()),
+            size=len(layer),
+            small=len(smalls),
+            large=len(larges),
             antichain=True,
             saturated=witness is None,
             witness_mask=witness,
         ))
         if witness is not None:
             reasons.append(Reason(LAYER_NOT_SATURATED, layer=index, witness_mask=witness))
-    if len(decomposition) != k:
+    if len(layers) != k:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
-    return VerificationReport(verdict=not reasons, k=k, layer_count=len(decomposition),
-                              layers=tuple(layer_reports), reasons=tuple(reasons),
-                              decomposition=decomposition)
+    return VerificationReport(verdict=not reasons, k=k, layer_count=len(layers),
+                              layers=tuple(layer_reports), reasons=tuple(reasons))
 
 
 @dataclass(frozen=True)
@@ -196,15 +206,6 @@ class SizeDiagnostics:
     per_layer: tuple[LayerSizeDiagnostics, ...]
 
 
-def _layer1_shape(members, k: int) -> tuple[bool, bool, bool]:
-    """The layer-1 shape of a minimum system, for the members of layer 1:
-    (every small is a singleton, at least k-2 smalls, exactly one large)."""
-    smalls = [mem for mem in members if not mem.has_H]
-    return (all(mem.atom_count == 1 for mem in smalls),
-            len(smalls) >= k - 2,
-            len(members) - len(smalls) == 1)
-
-
 def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
     """The size facts of a minimum system, asked of k layers over one
     universe, bottom first (a canonical decomposition, or any layer tuple)."""
@@ -228,20 +229,15 @@ def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
         ))
     bottom = layers[0]
     top = layers[-1]
-    bottom_is_empty = bottom.members == (Member(0, False),)
-    top_is_full = top.members == (Member(top.full_mask, True),)
-    if k >= 2:
-        layer1_small_singletons, layer1_small_count_ok, layer1_single_large = \
-            _layer1_shape(layers[1].members, k)
-    else:
-        layer1_small_singletons = layer1_small_count_ok = layer1_single_large = True
+    # the layer-1 shape of a minimum system; a one-layer tuple has no layer 1
+    layer1_smalls = layers[1].smalls() if k >= 2 else ()
     return SizeDiagnostics(
         k=k,
-        bottom_is_empty=bottom_is_empty,
-        top_is_full=top_is_full,
-        layer1_small_singletons=layer1_small_singletons,
-        layer1_small_count_ok=layer1_small_count_ok,
-        layer1_single_large=layer1_single_large,
+        bottom_is_empty=bottom.members == (Member(0, False),),
+        top_is_full=top.members == (Member(top.full_mask, True),),
+        layer1_small_singletons=all(mem.atom_count == 1 for mem in layer1_smalls),
+        layer1_small_count_ok=len(layer1_smalls) >= k - 2,
+        layer1_single_large=k < 2 or len(layers[1].larges()) == 1,
         per_layer=tuple(per_layer),
     )
 
@@ -347,22 +343,18 @@ def _oracle_strict_closure(table: int, halves: list[int], upward: bool) -> int:
     return proper
 
 
-def _oracle_levels(members: int, halves: list[int], upward: bool, limit: int) -> tuple[list[int], int]:
-    """(closures, rest) for the level peeling of a member table.  Level 1
-    is the members; level d+1 is the members inside the strict closure of
-    level d.  So, by induction, level d holds the members with a chain of d
-    members ending (upward) or starting (downward) at them, and the strict
-    closure of level d holds every set with a chain of d members strictly
-    below (above) it.  closures has these closures for levels 1..j, where j
-    is the number of nonempty levels, at most limit; rest is level j+1
-    (0 when it is empty), so it is nonempty iff some chain has more than
-    limit members."""
-    closures = []
+def _oracle_peel(members: int, halves: list[int], upward: bool):
+    """The strict closures of the nonempty levels of a member table's level
+    peeling, one at a time.  Level 1 is the members; level d+1 is the
+    members inside the strict closure of level d.  So, by induction, level
+    d holds the members with a chain of d members ending (upward) or
+    starting (downward) at them, and the strict closure of level d holds
+    every set with a chain of d members strictly below (above) it."""
     level = members
-    while level and len(closures) < limit:
-        closures.append(_oracle_strict_closure(level, halves, upward))
-        level = members & closures[-1]
-    return closures, level
+    while level:
+        closed = _oracle_strict_closure(level, halves, upward)
+        yield closed
+        level = members & closed
 
 
 def _oracle_member_table(members: tuple[int, ...], n: int) -> int:
@@ -386,13 +378,16 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
     B_d, the strict up-closure of up-level d, is the sets with a chain of
     d members below them, and A_e the same downward.  Up-level k+1 is
     nonempty iff some chain has k+1 members, so the up peel stops there.
-    Otherwise let L <= k be the longest chain: B_d is empty beyond L, and
-    so is A_e, since the down peel has as many levels.  With B_0 = A_0 =
-    every set, an absent S closes a chain iff S is in B_d and A_(k-d) for
-    some d, and only k-L <= d <= L can meet.  So the family is saturated
-    iff the members and these intersections cover every point.  Each
-    closure is n masked shifts of a 2^n-bit int, and at most 2L of them
-    run: O(L*n*2^n) bit operations.
+    With B_0 = A_0 = every set, an absent S closes a chain iff S is in B_d
+    and A_(k-d) for some d, and then the members below and above S form a
+    chain of k.  So if the longest chain has fewer than k members, the
+    family is saturated iff no set is absent.  Otherwise the down peel also
+    has k levels, and the family is saturated iff the members and the k+1
+    intersections cover every point.  Each closure is n masked shifts of a
+    2^n-bit int, and at most 2k of them run: O(k*n*2^n) bit operations.
+    Each A_e meets B_(k-e) as soon as it is made, and each B_d is dropped
+    once used, so at most k + n tables of 2^n bits, and a few more, are
+    alive at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -400,18 +395,17 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
         raise CapacityError(f"ground set of size {c.n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
     halves = _oracle_halves(c.n)
     members = _oracle_member_table(c.members, c.n)
-    below, rest = _oracle_levels(members, halves, True, k)
-    if rest:
-        return False
-    above, _ = _oracle_levels(members, halves, False, k)
-    longest = len(below)
-    everything = (1 << (1 << c.n)) - 1
-    below.insert(0, everything)  # below[d] is B_d
-    above.insert(0, everything)  # above[e] is A_e
-    covered = members
-    for d in range(k - longest, longest + 1):
-        covered |= below[d] & above[k - d]
-    return covered == everything
+    points = 1 << c.n
+    below = list(islice(_oracle_peel(members, halves, True), k))
+    if below and members & below[-1]:
+        return False  # the peel stops early only on an empty level: this is level k+1
+    if len(below) < k:
+        return members.bit_count() == points
+    covered = members | below.pop()  # B_k meets A_0
+    # d = k-e runs down as e runs up, so B_d is the last table left in below
+    for e, above in enumerate(_oracle_peel(members, halves, False), start=1):
+        covered |= below.pop() & above if e < k else above  # B_0 meets A_k
+    return covered.bit_count() == points
 
 
 def eps_of(i: int, k: int) -> float:

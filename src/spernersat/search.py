@@ -22,22 +22,22 @@ of equal (H flag, atom count), and only on the open group (the argument is
 at _fixing).  The candidate pool and the tables of each m are built once
 per call, when the search first reaches that m.
 
-A complete candidate (a leaf) is tested in this order, each test exact:
-  1. its largest depth must be k, because the verifier's layer count is the
-     largest depth and a true verdict needs exactly k layers;
-  2. with forcing on and k >= 3, its depth-2 members (the verifier's
-     layer 1) must show the forced layer-1 shape, which forcing demands of
-     every accepted family;
-  3. verify_saturated_k_sperner must give a true verdict; it decides every
-     acceptance.
+A complete candidate (a leaf) must have what every accepted family has:
+  1. largest depth k, because the verifier's layer count is the largest
+     depth and a true verdict needs exactly k layers;
+  2. with forcing on and k >= 3, the forced layer-1 shape in its depth-2
+     members (the verifier's layer 1): singleton smalls, at least k-2 of
+     them, exactly one large.
+A leaf that has them goes to _verify_layers with the depths on the stack,
+which decides every acceptance as verify_saturated_k_sperner would.
 
 Roots below the size and atom floors of _floors are never expanded: no
 family there is accepted (the argument is at _floors).  Above them, a
 candidate is turned down before the orbit check when no leaf below it can
-pass tests 1 and 2, so the verifier sees the same leaves in the same order
-as when every leaf of those roots was built.  Because a chosen member's
-depth is final, with forcing on and k >= 3 (the empty set alone at depth 1,
-so every singleton small sits at depth 2):
+have 1 and 2, so the verifier sees the same leaves in the same order as
+when every leaf of those roots was built and checked for 1 and 2.  As a
+chosen member's depth is final, with forcing on and k >= 3 (the empty set
+alone at depth 1, so every singleton small sits at depth 2):
   (a) a small of two atoms or more at depth 2 puts a non-singleton small in
       layer 1;
   (b) a second large at depth 2 puts two larges in layer 1;
@@ -52,14 +52,17 @@ and under every setting
       under forcing, where the full set adds the last level, k otherwise)
       leaves every leaf below it with the wrong layer count.
 The chosen singletons and whether a depth-2 large is chosen travel with the
-depth-first stack.  With (d) and the chain prune every leaf has the largest
-depth test 1 asks for, so test 1 no longer turns a leaf down
-(layer_count_prunes reads 0); it stays as a one-line check.
+depth-first stack.  Every leaf then has 1, by (d) and the chain prune, and
+all of 2 but "exactly one large": under forcing with k >= 3 the forced top
+sits at depth k, (a) leaves only singleton smalls at depth 2, (b) at most
+one large, and by (c) a leaf holds k-2 singletons before any other member,
+or only singletons, size-2 >= 3k-7 >= k-2 of them.  So a leaf without a
+depth-2 large is the one shape prune left.
 
-FOUND results are re-verified before they are returned.  NONE_WITHIN_BOUNDS
-is only emitted after the whole pruned space was exhausted, and the
-certificate repeats the exact bounds (and the forcing flag) the claim is
-relative to.
+A FOUND family, the only Family the search builds, is re-verified from
+scratch by verify_saturated_k_sperner.  NONE_WITHIN_BOUNDS is only emitted
+after the whole pruned space was exhausted, and the certificate repeats
+the exact bounds (and the forcing flag) the claim is relative to.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
 from .family import CapacityError, Family, Member, member_depths, packed_key  # noqa: F401
-from .saturation import _layer1_shape, verify_saturated_k_sperner
+from .saturation import _verify_layers, verify_saturated_k_sperner
 
 FOUND = "FOUND"
 NONE_WITHIN_BOUNDS = "NONE_WITHIN_BOUNDS"
@@ -114,8 +117,8 @@ class SearchCounts:
     """Where the candidates went.  Every candidate tried becomes a node or
     exactly one of the chain, orbit, singleton, reach and layer-1 prunes
     (a singleton prune also ends its candidate loop); every leaf node
-    becomes exactly one of the layer-count and shape prunes or a verified
-    leaf."""
+    becomes a shape prune or a verified leaf; layer_count_prunes stays 0
+    and keeps its line in the --stats output."""
 
     candidates: int = 0
     chain_prunes: int = 0
@@ -212,7 +215,7 @@ def _candidate_rejection(kind, depth: int, reach: int, singletons: int, large2: 
     and the chosen members' largest, plus the members still to append after
     it; singletons counts the chosen singleton smalls, and large2 says
     whether a depth-2 large is chosen.  Below a turned-down candidate no
-    leaf passes _leaf_rejection (rules (a)-(d) of the module docstring), and
+    leaf has 1 and 2 of the module docstring (by its rules (a)-(d)), and
     "singleton_prunes" turns down every later candidate of the pool too."""
     shaped = forcing and k >= 3
     if shaped and singletons < k - 2 and kind != (False, 1):
@@ -224,18 +227,6 @@ def _candidate_rejection(kind, depth: int, reach: int, singletons: int, large2: 
         return "reach_prunes"
     if shaped and depth == 2 and (large2 if kind[0] else kind[1] >= 2):
         return "layer1_prunes"
-    return None
-
-
-def _leaf_rejection(members, depths, k: int, forcing: bool) -> str | None:
-    """The SearchCounts field of the test that turns this complete candidate
-    down before the verifier, or None when the verifier has to decide."""
-    if max(depths) != k:
-        return "layer_count_prunes"
-    if forcing and k >= 3:
-        layer1 = [mem for mem, d in zip(members, depths) if d == 2]
-        if not all(_layer1_shape(layer1, k)):
-            return "shape_prunes"
     return None
 
 
@@ -264,6 +255,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     """
     k = bounds.k
     force = forcing and k >= 2
+    shaped = forcing and k >= 3
     nodes = 0
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
     spaces = {}  # m -> _space(m, force)
@@ -272,20 +264,19 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
         # Extends chosen, keys and depths (every member but the forced top)
         # from pool[start:]; live, group and group_kind are the orbit check's
         # state, singletons and large2 _candidate_rejection's.  Returns the
-        # first verified family, or None.
+        # members of the first verified leaf, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
         if len(chosen) == need:
-            members = chosen + top
-            reason = _leaf_rejection(members, depths + [1 + max(depths)] * len(top), k, forcing)
-            if reason is not None:
-                tally[reason] += 1
+            if shaped and not large2:
+                tally["shape_prunes"] += 1
                 return None
             tally["leaves_verified"] += 1
-            family = Family(m, tuple(members))
-            return family if verify_saturated_k_sperner(family, k).verdict else None
+            members = chosen + top
+            report = _verify_layers(m, members, depths + [1 + max(depths)] * len(top), k)
+            return members if report.verdict else None
         closed = None  # live restricted to the tables that fix group, once asked for
         height = max(depths, default=0)
         after = need - len(chosen) - 1  # members still to append after a candidate
@@ -312,13 +303,13 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             chosen.append(candidate)
             keys.append(key)
             depths.append(depth)
-            family = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
-                         large2 or (kind[0] and depth == 2))
+            found = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
+                        large2 or (kind[0] and depth == 2))
             chosen.pop()
             keys.pop()
             depths.pop()
-            if family is not None:
-                return family
+            if found is not None:
+                return found
         return None
 
     def result(outcome, family=None, certificate=None):
@@ -333,8 +324,9 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 pool, tables, bottom, top = spaces[m]
                 need = size - len(top)
                 chosen, keys, depths = list(bottom), [packed_key(mem) for mem in bottom], [1] * len(bottom)
-                family = dfs(0, tables, [], None, 0, False)
-                if family is not None:
+                found = dfs(0, tables, [], None, 0, False)
+                if found is not None:
+                    family = Family(m, tuple(found))
                     if not verify_saturated_k_sperner(family, k).verdict:
                         raise RuntimeError("search emitted an unverified family; this is a defect")
                     return result(FOUND, family)

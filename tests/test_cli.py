@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -160,8 +161,20 @@ def test_bounds_table_json_is_streamed_with_the_bytes_of_one_dump(capsys):
     whole = {"schema_version": 1, "rows": [r.to_json_dict() for r in bound_table(7, 60)]}
     assert out == json.dumps(whole, indent=2) + "\n"
     code, out, _ = run(capsys, "bounds", "--table", "7..7", "--json")
-    assert out == json.dumps({"schema_version": 1, "rows": [bound_table(7, 7)[0].to_json_dict()]},
+    assert out == json.dumps({"schema_version": 1, "rows": [next(bound_table(7, 7)).to_json_dict()]},
                              indent=2) + "\n"
+
+
+def test_bounds_table_text_holds_one_report_at_a_time(capsys):
+    # all 1,994 reports of 7..2000 at once peaked at 79 MiB; one at a time, under 1 MiB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "bounds", "--table", "7..2000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out.splitlines()) == 1 + 1994
+    assert peak < 8 * 2**20, peak
 
 
 def test_bounds_json_has_no_infinity(capsys):

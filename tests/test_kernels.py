@@ -6,6 +6,7 @@ reaches: nothing of the brute-force oracle, and no pair scan on its own
 layers."""
 
 from functools import cache
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,8 @@ from spernersat.saturation import (
     ConcreteFamily,
     _first_uncovered,
     _oracle_halves,
-    _oracle_levels,
     _oracle_member_table,
+    _oracle_peel,
     _oracle_strict_closure,
     brute_force_saturated,
 )
@@ -93,7 +94,10 @@ def test_first_uncovered_matches_definition(layer):
         return (any(mem.atom_mask & ~t == 0 for mem in layer.smalls())
                 or any(t & ~mem.atom_mask == 0 for mem in layer.larges()))
     holes = [t for t in range(1 << layer.m) if not covered(t)]
-    assert _first_uncovered(layer) == min(holes, key=lambda t: (t.bit_count(), t), default=None)
+    smalls = [mem.atom_mask for mem in layer.smalls()]
+    larges = [mem.atom_mask for mem in layer.larges()]
+    first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
+    assert _first_uncovered(layer.m, smalls, larges) == first
 
 
 # n up to 8, so the closure shifts whole bytes (bit 3 on) as well as bits inside one
@@ -139,14 +143,14 @@ def test_oracle_levels_match_longest_chain_definition(c, limit):
     halves = _oracle_halves(c.n)
     for upward, chain in zip((True, False), _longest_chains(c.members)):
         longest = max(map(chain, c.members), default=0)
-        closures, rest = _oracle_levels(members, halves, upward, limit)
+        closures = list(islice(_oracle_peel(members, halves, upward), limit))
         assert len(closures) == min(longest, limit)
         # level d + 1 is the members inside the strict closure of level d
         levels = [members] + [members & closed for closed in closures]
         for d, level in enumerate(levels, 1):
             assert level == sum(1 << x for x in c.members if chain(x) >= d), (upward, d)
-        assert rest == levels[-1]
-        assert bool(rest) == (longest > limit)
+        # the level after the last closure, which brute_force_saturated tests
+        assert bool(levels[-1]) == (longest > limit)
 
 
 @st.composite

@@ -86,13 +86,15 @@ def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
         return (any(mem.atom_mask & ~t == 0 for mem in layer.smalls())
                 or any(t & ~mem.atom_mask == 0 for mem in layer.larges()))
     holes = [t for t in range(1 << layer.m) if not covered(t)]
-    assert _first_uncovered(layer) == min(holes, key=lambda t: (t.bit_count(), t), default=None)
+    smalls = [mem.atom_mask for mem in layer.smalls()]
+    larges = [mem.atom_mask for mem in layer.larges()]
+    first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
+    assert _first_uncovered(layer.m, smalls, larges) == first
 
 
 def test_first_uncovered_on_a_wide_universe():
     # every subset but the full one is a hole; the first is the empty set
-    layer = Family(22, (Member((1 << 22) - 1, False),))
-    assert _first_uncovered(layer) == 0
+    assert _first_uncovered(22, [(1 << 22) - 1], []) == 0
 
 
 def test_saturated_antichain_rejects_non_antichain():
@@ -178,10 +180,10 @@ def test_verify_rejects_empty_family_and_accepts_any_k():
 def test_verify_refuses_large_universe_before_decomposing(monkeypatch):
     import spernersat.saturation as saturation_mod
 
-    def no_decomposition(f):
-        raise AssertionError("decomposition ran before the size check")
+    def no_depths(members):
+        raise AssertionError("the depth pass ran before the size check")
 
-    monkeypatch.setattr(saturation_mod, "canonical_decomposition", no_decomposition)
+    monkeypatch.setattr(saturation_mod, "member_depths", no_depths)
     big = Family(29, (Member(0, False), Member((1 << 29) - 1, True)))
     with pytest.raises(ValueError, match="universe of size 29 is too large for the exhaustive scan"):
         verify_saturated_k_sperner(big, 2)

@@ -28,7 +28,7 @@ from spernersat import (
 )
 from spernersat.family import member_depths, packed_key
 from spernersat import search as search_mod
-from spernersat.saturation import _layer1_shape
+from spernersat.saturation import _verify_layers
 from spernersat.search import (
     SearchCounts,
     SearchResult,
@@ -36,7 +36,6 @@ from spernersat.search import (
     _carried_depth,
     _fixing,
     _image_tables,
-    _leaf_rejection,
     _least_in_group,
 )
 from helpers import random_family, reachable
@@ -323,14 +322,20 @@ def _floors(k, forcing):
 def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
     """Every family the pinned boxes send to the verifier, in order, minus
     those below the floors: a pruning rule may drop a leaf only where no
-    family can be accepted."""
+    family can be accepted.  Leaves go to _verify_layers with their carried
+    depths, and a FOUND family to verify_saturated_k_sperner once more."""
     sent = []
 
     def recording(family, k):
         sent.append((family, k))
         return verify_saturated_k_sperner(family, k)
 
+    def recording_leaf(m, members, depths, k):
+        sent.append((Family(m, tuple(members)), k))
+        return _verify_layers(m, members, depths, k)
+
     monkeypatch.setattr(search_mod, "verify_saturated_k_sperner", recording)
+    monkeypatch.setattr(search_mod, "_verify_layers", recording_leaf)
     digest = hashlib.sha256()
     kept = 0
     for k, max_atoms, max_size, forcing in _PINNED_COUNTS:
@@ -362,9 +367,9 @@ def _candidate_prunes(c):
 
 
 def test_search_counts_account_for_every_candidate(monkeypatch):
-    leaves = []
-    monkeypatch.setattr(search_mod, "_leaf_rejection",
-                        lambda *args: leaves.append(args) or _leaf_rejection(*args))
+    verified = []
+    monkeypatch.setattr(search_mod, "_verify_layers",
+                        lambda *args: verified.append(args) or _verify_layers(*args))
     bounds = SearchBounds(k=4, max_atoms=4, max_size=8)
     result = search_min(bounds)
     assert result.nodes == 682
@@ -374,9 +379,19 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
                              singleton_prunes=5, reach_prunes=1, layer1_prunes=14)
     # every candidate tried is a node or exactly one prune
     assert result.nodes == _roots(bounds, True, result.family) + c.candidates - _candidate_prunes(c)
-    # every leaf is turned down before the verifier or verified
-    assert c.layer_count_prunes + c.shape_prunes + c.leaves_verified == len(leaves)
+    # every verified leaf goes to the verifier once
+    assert c.leaves_verified == len(verified)
     assert SearchResult(FOUND, None, 0, None).counts == SearchCounts()
+
+
+def test_search_builds_a_family_only_for_a_found_result(monkeypatch):
+    built = []
+    monkeypatch.setattr(search_mod, "Family", lambda *args: built.append(args) or Family(*args))
+    found = search_min(SearchBounds(k=4, max_atoms=4, max_size=8))
+    assert found.outcome == FOUND and built == [(found.family.m, found.family.members)]
+    built.clear()
+    assert search_min(SearchBounds(k=4, max_atoms=3, max_size=7)).outcome == NONE_WITHIN_BOUNDS
+    assert built == []
 
 
 def _depths(members):
@@ -404,7 +419,7 @@ def _canonical_members(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_canonical_members(), st.integers(1, 6))
-def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
+def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
     m, forced, members = case
     depths = _depths(members)
     assert depths == member_depths(members).tolist()
@@ -412,10 +427,22 @@ def test_carried_depths_and_leaf_precheck_match_the_verifier(case, k):
         # the search sets the forced top's depth without a scan
         assert depths[-1] == 1 + max(depths[:-1])
     report = verify_saturated_k_sperner(Family(m, tuple(members)), k)
-    for forcing in (False, True):
-        wanted = report.layer_count == k and (
-            not forcing or k < 3 or all(_layer1_shape(report.decomposition[1].members, k)))
-        assert (_leaf_rejection(members, depths, k, forcing) is None) == wanted
+    assert _verify_layers(m, members, depths, k).to_json_dict() == report.to_json_dict()
+
+
+def _accepted_shape(members, k, forcing):
+    """What every family the search accepts has: largest depth k and, with
+    forcing on and k >= 3, the forced layer-1 shape in the depth-2 members
+    (singleton smalls, at least k-2 of them, exactly one large)."""
+    depths = member_depths(members).tolist()
+    if max(depths) != k:
+        return False
+    if forcing and k >= 3:
+        layer1 = [mem for mem, d in zip(members, depths) if d == 2]
+        smalls = [mem for mem in layer1 if not mem.has_H]
+        return (all(mem.atom_count == 1 for mem in smalls) and len(smalls) >= k - 2
+                and len(layer1) - len(smalls) == 1)
+    return True
 
 
 @st.composite
@@ -449,9 +476,9 @@ def _state(m, k, chosen, candidate, after):
 @example(_state(3, 3, [Member(0b001, False)], Member(0b110, False), 1))
 @example(_state(3, 3, [Member(0b001, False), Member(0b010, True)], Member(0b100, True), 1))
 def test_candidate_rules_turn_down_only_rejected_subtrees(state):
-    """Whenever a candidate-level test fires, _leaf_rejection turns down every
-    completion below it (for a singleton prune, below every later candidate
-    too), whether or not the search would reach the state."""
+    """Whenever a candidate-level test fires, no completion below it (for a
+    singleton prune, below every later candidate too) has the shape of an
+    accepted family, whether or not the search would reach the state."""
     k, forcing, pool, top, chosen, idx, after = state
     depths = _depths(chosen)
     singletons = sum(not mem.has_H and mem.atom_count == 1 for mem in chosen)
@@ -475,7 +502,7 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
                        for rest in combinations([mem for mem, _, _ in pool[idx + 1:]], after))
     for completion in completions:
         members = chosen + list(completion) + top
-        assert _leaf_rejection(members, _depths(members), k, forcing) is not None, (reason, members)
+        assert not _accepted_shape(members, k, forcing), (reason, members)
 
 
 def _relabel(mask, perm):
