@@ -1,5 +1,6 @@
 """Member/Family model, text format, complements, chains, decomposition."""
 
+import hashlib
 import random
 import tracemalloc
 from functools import cache
@@ -18,6 +19,7 @@ from spernersat import (
     atoms_of_mask,
     bootstrapped,
     canonical_decomposition,
+    compose,
     complement_family,
     complement_member,
     is_antichain,
@@ -29,6 +31,8 @@ from spernersat import (
     parse_family,
     serialize_family,
     seven56,
+    three_sperner,
+    trivial_construction,
 )
 from helpers import random_family
 
@@ -359,51 +363,103 @@ def test_parse_serialize_is_a_fixed_point(f):
     assert serialize_family(parse_family(text)) == text
 
 
+@settings(max_examples=300, deadline=None)
+@given(_families())
+def test_serialized_lines_are_the_members_in_order(f):
+    """Checked against Member.__str__, which the serializer does not call,
+    so a serializer and parser wrong in the same way cannot pass."""
+    header, *lines = serialize_family(f).split("\n")[:-1]
+    assert header == f"universe {f.m}"
+    assert lines == [str(mem) for mem in f.members]
+
+
+# Universe sizes on either side of each byte of the atom mask.
+_DIGEST_UNIVERSES = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 61, 62)
+
+
+def test_serialized_bytes_are_pinned():
+    """Regression pin: one digest over the serialized text of the built-in
+    constructions, two compositions and 2,000 seeded families."""
+    families = [bootstrapped(k)[0] for k in range(2, 15)]
+    families += [trivial_construction(k) for k in range(2, 11)]
+    families += [compose(seven56(), three_sperner()), compose(seven56(), seven56())]
+    rng = random.Random(7007)
+    for _ in range(2000):
+        m = rng.choice(_DIGEST_UNIVERSES)
+        members = {Member(rng.getrandbits(m), rng.random() < 0.5) for _ in range(rng.randint(0, 12))}
+        families.append(Family(m, tuple(members)))
+    digest = hashlib.sha256()
+    for f in families:
+        digest.update(serialize_family(f).encode())
+    assert digest.hexdigest() == "5c596dc1f24e95e9706359395ecaa932a31bfbc594979bcc9a1981b31b8502ec"
+
+
 def test_parse_accepts_bytes_and_comments_anywhere():
     f = parse_family(b"# lead\nuniverse 2\n# mid\n1\n")
     assert f.members == (Member(0b1, False),)
 
 
+# (text, message from parse_family, message from parse_concrete when it differs)
+_PARSE_ERRORS = [
+    ("universe x\n", "line 1: bad universe size 'x'"),
+    ("weird 3\n", "line 1: expected 'universe <m>' header"),
+    ("universe 63\n", "line 1: universe size must be in [0, 62]"),
+    ("universe 2\nempty H\n", "line 2: 'empty' cannot be combined with other tokens"),
+    ("universe 2\n1 H H\n", "line 2: duplicate 'H' token", "line 2: malformed token 'H'"),
+    ("universe 3\nH 2 H\n", "line 2: duplicate 'H' token", "line 2: malformed token 'H'"),
+    ("universe 2\n1 1\n", "line 2: duplicate atom 1"),
+    ("universe 3\n1 01\n", "line 2: duplicate atom 1"),
+    ("universe 3\n1 H 1\n", "line 2: duplicate atom 1", "line 2: malformed token 'H'"),
+    ("universe 3\n1 2 3 1\n", "line 2: duplicate atom 1"),
+    ("universe 2\n3\n", "line 2: atom 3 outside universe of size 2"),
+    ("universe 3\n4 H\n", "line 2: atom 4 outside universe of size 3"),
+    ("universe 62\n63\n", "line 2: atom 63 outside universe of size 62"),
+    ("universe 0\n1\n", "line 2: atom 1 outside universe of size 0"),
+    ("universe 3\n-0\n", "line 2: atom 0 outside universe of size 3"),
+    ("universe 2\n1 bogus\n", "line 2: malformed token 'bogus'"),
+    ("universe 3\nH\n", None, "line 2: malformed token 'H'"),
+    ("universe 2\n1\n\n1\n", "line 4: duplicate member '1'"),
+    ("universe 3\nH\nH\n", "line 3: duplicate member 'H'", "line 2: malformed token 'H'"),
+    ("universe 3\n2\tH\r\n2 H\n", "line 3: duplicate member '2 H'", "line 2: malformed token 'H'"),
+    ("# only comments\n", "line 2: missing 'universe <m>' header"),
+    ("universe 2\n1 empty\n", "line 2: 'empty' cannot be combined with other tokens"),
+    ("\n# lead\nuniverse -1\n", "line 3: universe size must be in [0, 62]"),
+    ("universe 1 2\n", "line 1: expected 'universe <m>' header"),
+    ("universe 3\n\n2 1\n# gap\n1 2\n", "line 5: duplicate member '1 2'"),
+    # int() takes these, the format does not
+    ("universe 1_0\n", "line 1: bad universe size '1_0'"),
+    ("universe +2\n", "line 1: bad universe size '+2'"),
+    ("universe \u0663\n", "line 1: bad universe size '\u0663'"),
+    ("universe 12\n2\n1_0 H\n", "line 3: malformed token '1_0'"),
+    ("universe 3\n+3\n", "line 2: malformed token '+3'"),
+    ("# ok\nuniverse 3\n\u0663 2\n", "line 3: malformed token '\u0663'"),
+    ("universe 3\n-1 +2\n", "line 2: atom -1 outside universe of size 3"),
+]
+
+
 def test_parse_error_positions():
-    cases = [
-        ("universe x\n", 1, "bad universe size"),
-        ("weird 3\n", 1, "expected 'universe"),
-        ("universe 63\n", 1, "universe size must be"),
-        ("universe 2\nempty H\n", 2, "'empty' cannot be combined"),
-        ("universe 2\n1 H H\n", 2, "duplicate 'H'"),
-        ("universe 2\n1 1\n", 2, "duplicate atom"),
-        ("universe 2\n3\n", 2, "outside universe"),
-        ("universe 2\n1 bogus\n", 2, "malformed token"),
-        ("universe 2\n1\n\n1\n", 4, "duplicate member"),
-        ("# only comments\n", None, "missing 'universe"),
-        ("universe 2\n1 empty\n", 2, "'empty' cannot be combined"),
-        ("\n# lead\nuniverse -1\n", 3, "universe size must be"),
-        ("universe 1 2\n", 1, "expected 'universe"),
-        ("universe 3\n\n2 1\n# gap\n1 2\n", 5, "duplicate member"),
-        # int() takes these, the format does not
-        ("universe 1_0\n", 1, "bad universe size '1_0'"),
-        ("universe +2\n", 1, "bad universe size '+2'"),
-        ("universe \u0663\n", 1, "bad universe size '\u0663'"),
-        ("universe 12\n2\n1_0 H\n", 3, "malformed token '1_0'"),
-        ("universe 3\n+3\n", 2, "malformed token '+3'"),
-        ("# ok\nuniverse 3\n\u0663 2\n", 3, "malformed token '\u0663'"),
-        ("universe 3\n-1 +2\n", 2, "atom -1 outside universe"),
-    ]
-    for text, line, fragment in cases:
-        with pytest.raises(FamilyFormatError) as err:
-            parse_family(text)
-        assert fragment in str(err.value), text
-        if line is not None:
-            assert err.value.line == line, text
-    # concrete files share the tokenizer: same fragment, same line
-    for text, line, fragment in cases:
-        if "H" in text:
-            continue
-        with pytest.raises(FamilyFormatError) as err:
-            parse_concrete(text)
-        assert fragment in str(err.value), text
-        if line is not None:
-            assert err.value.line == line, text
+    """Every message in full, with its line, from both parsers, which share
+    the tokenizer."""
+    for text, family_message, *concrete in _PARSE_ERRORS:
+        for parse, message in ((parse_family, family_message),
+                               (parse_concrete, concrete[0] if concrete else family_message)):
+            if message is None:
+                parse(text)
+                continue
+            with pytest.raises(FamilyFormatError) as err:
+                parse(text)
+            assert str(err.value) == message, (parse.__name__, text)
+            assert err.value.line == int(message.split(":")[0].removeprefix("line ")), text
+
+
+def test_parse_takes_leading_zeros_tabs_and_crlf():
+    assert parse_family("universe 7\n01\n007\n").members == (Member(1, False), Member(1 << 6, False))
+    assert parse_concrete("universe 7\n01\n007\n").members == (1, 1 << 6)
+    spaced = parse_family("universe 4\n1 3\n2 4 H\nempty\n")
+    for text in ("universe\t4\n1\t3\n2\t4\tH\nempty\n", "universe 4\r\n1 3\r\n2 4 H\r\nempty\r\n",
+                 " universe  4 \n\t1 \t 3\r\n 2 4  H\t\r\n empty \n"):
+        assert parse_family(text) == spaced, text
+    assert parse_concrete("universe\t4\r\n1\t3\r\n").members == (0b101,)
 
 
 def test_parse_names_the_line_of_an_undecodable_byte():
