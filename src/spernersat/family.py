@@ -9,9 +9,10 @@ representation agree with the concrete ground-set poset for every
 realization of H, which keeps all structural checks independent of the
 ambient ground-set size n.
 
-Canonical member order is (has_H, atom count, atom mask); proper
-containment is strictly monotone in this key, so sorting doubles as a
-topological order of the containment DAG.
+Canonical member order is (has_H, atom count, atom mask), read as the
+digits of one int (Member.key); proper containment is strictly monotone
+in this key, so sorting doubles as a topological order of the containment
+DAG.
 
 The canonical decomposition of a family is plain data: a tuple of layers,
 bottom first, each a Family over the same universe, one per member of the
@@ -21,6 +22,7 @@ longest chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -75,8 +77,11 @@ class Member:
     def is_proper_subset(self, other: "Member") -> bool:
         return self != other and self.issubset(other)
 
-    def key(self) -> tuple[bool, int, int]:
-        return (self.has_H, self.atom_count, self.atom_mask)
+    def key(self) -> int:
+        """The canonical order key: H flag, atom count and atom mask as the
+        digits of one int, since a mask inside the universe is below
+        2**MAX_ATOMS and its count below 2**6."""
+        return (self.has_H << 6 | self.atom_mask.bit_count()) << MAX_ATOMS | self.atom_mask
 
     def __str__(self) -> str:
         if self.atom_mask == 0 and not self.has_H:
@@ -95,6 +100,8 @@ def packed_key(mem: Member) -> int:
 
 def atoms_of_mask(mask: int) -> tuple[int, ...]:
     """1-based atom indices of a bitmask, ascending."""
+    if mask < 0:
+        raise ValueError(f"atom mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -125,7 +132,7 @@ class Family:
         if not 0 <= self.m <= MAX_ATOMS:
             raise ValueError(f"universe size must be in [0, {MAX_ATOMS}], got {self.m}")
         ordered = tuple(sorted(self.members, key=Member.key))
-        if len(set(ordered)) != len(ordered):
+        if len(set(map(packed_key, ordered))) != len(ordered):
             raise ValueError("duplicate member")
         top = 1 << self.m
         for mem in ordered:
@@ -296,66 +303,90 @@ def _decimal_int(tok: str) -> int:
     return int(tok)
 
 
-def _parse_members(text, allow_H: bool) -> tuple[int, list[Member]]:
-    """The one tokenizer of the text format: (m, members in file order).
-    Without allow_H an 'H' token is malformed."""
+def _line_key(tokens: list[str], line: str, m: int, allow_H: bool) -> int:
+    """Packed key of one member line, token by token, or a ValueError
+    naming the first thing wrong with it."""
+    if tokens == ["empty"]:
+        return 0
+    if "empty" in tokens:
+        raise ValueError("'empty' cannot be combined with other tokens")
+    # int() takes exactly the format's integers on an ASCII line without '_' and '+'
+    to_int = int if line.isascii() and "_" not in line and "+" not in line else _decimal_int
+    key = 0
+    for tok in tokens:
+        if tok == "H" and allow_H:
+            if key >> MAX_ATOMS:
+                raise ValueError("duplicate 'H' token")
+            key |= 1 << MAX_ATOMS
+            continue
+        try:
+            atom = to_int(tok)
+        except ValueError:
+            raise ValueError(f"malformed token {tok!r}") from None
+        if not 1 <= atom <= m:
+            raise ValueError(f"atom {atom} outside universe of size {m}")
+        bit = 1 << (atom - 1)
+        if key & bit:
+            raise ValueError(f"duplicate atom {atom}")
+        key |= bit
+    return key
+
+
+def _parse_members(text, allow_H: bool) -> tuple[int, list[int]]:
+    """The one tokenizer of the text format: (m, the members' packed keys
+    in file order).  Without allow_H an 'H' token is malformed."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FamilyFormatError(f"byte 0x{text[exc.start]:02x} is not valid UTF-8",
                                     _next_line(text[:exc.start].decode("utf-8"))) from None
-    m = None
-    members = []
-    seen: set[Member] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
-        # int() takes exactly the format's integers on an ASCII line without '_' and '+'
-        to_int = int if line.isascii() and "_" not in line and "+" not in line else _decimal_int
-        if m is None:
-            if len(tokens) != 2 or tokens[0] != "universe":
-                raise FamilyFormatError("expected 'universe <m>' header", lineno)
-            try:
-                m = to_int(tokens[1])
-            except ValueError:
-                raise FamilyFormatError(f"bad universe size {tokens[1]!r}", lineno) from None
-            if not 0 <= m <= MAX_ATOMS:
-                raise FamilyFormatError(f"universe size must be in [0, {MAX_ATOMS}]", lineno)
-            continue
-        if tokens == ["empty"]:
-            member = Member(0, False)
-        elif "empty" in tokens:
-            raise FamilyFormatError("'empty' cannot be combined with other tokens", lineno)
-        else:
-            mask = 0
-            has_h = False
-            for tok in tokens:
-                if tok == "H" and allow_H:
-                    if has_h:
-                        raise FamilyFormatError("duplicate 'H' token", lineno)
-                    has_h = True
-                    continue
-                try:
-                    atom = to_int(tok)
-                except ValueError:
-                    raise FamilyFormatError(f"malformed token {tok!r}", lineno) from None
-                if not 1 <= atom <= m:
-                    raise FamilyFormatError(f"atom {atom} outside universe of size {m}", lineno)
-                bit = 1 << (atom - 1)
-                if mask & bit:
-                    raise FamilyFormatError(f"duplicate atom {atom}", lineno)
-                mask |= bit
-            member = Member(mask, has_h)
-        if member in seen:
-            raise FamilyFormatError(f"duplicate member '{member}'", lineno)
-        seen.add(member)
-        members.append(member)
-    if m is None:
+        if len(tokens) != 2 or tokens[0] != "universe":
+            raise FamilyFormatError("expected 'universe <m>' header", lineno)
+        try:
+            m = _decimal_int(tokens[1])
+        except ValueError:
+            raise FamilyFormatError(f"bad universe size {tokens[1]!r}", lineno) from None
+        if not 0 <= m <= MAX_ATOMS:
+            raise FamilyFormatError(f"universe size must be in [0, {MAX_ATOMS}]", lineno)
+        break
+    else:
         raise FamilyFormatError("missing 'universe <m>' header", _next_line(text))
-    return m, members
+    # the packed-key bit of each token as serialize_family writes it; a line
+    # with any other token, or with a token twice, goes to _line_key
+    bits = {str(atom): 1 << (atom - 1) for atom in range(1, m + 1)}
+    if allow_H:
+        bits["H"] = 1 << MAX_ATOMS
+    zeros = repeat(0)
+    keys = []
+    seen = set()
+    for lineno, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        # a token outside the table adds no bit, and a repeated one carries,
+        # so either leaves fewer bits than tokens
+        key = sum(map(bits.get, tokens, zeros))
+        if key.bit_count() != len(tokens):
+            try:
+                key = _line_key(tokens, raw.strip(), m, allow_H)
+            except ValueError as exc:
+                raise FamilyFormatError(str(exc), lineno) from None
+        if key in seen:
+            raise FamilyFormatError(f"duplicate member '{_unpacked(key)}'", lineno)
+        seen.add(key)
+        keys.append(key)
+    return m, keys
+
+
+def _unpacked(key: int) -> Member:
+    """The member of a packed key."""
+    return Member(key & ((1 << MAX_ATOMS) - 1), key >> MAX_ATOMS == 1)
 
 
 def parse_family(text) -> Family:
@@ -367,12 +398,23 @@ def parse_family(text) -> Family:
     (1..m) plus at most one 'H' token, whitespace-separated.  Numbers are
     ASCII digits with an optional leading '-'.
     """
-    m, members = _parse_members(text, allow_H=True)
-    return Family(m, tuple(members))
+    m, keys = _parse_members(text, allow_H=True)
+    return Family(m, tuple(map(_unpacked, keys)))
 
 
 def serialize_family(f: Family) -> str:
     """Canonical text form: header, then one member per line in canonical order."""
+    width = (f.m + 7) // 8
+    # tables[i][b]: the atoms of the byte value b at byte i of a mask, each
+    # followed by a space
+    tables = []
+    for i in range(width):
+        table = [""]
+        for atom in range(8 * i + 1, 8 * i + 9):
+            table += [text + f"{atom} " for text in table]
+        tables.append(table)
     lines = [f"universe {f.m}"]
-    lines.extend(str(mem) for mem in f.members)
+    for mem in f.members:
+        atoms = "".join(map(list.__getitem__, tables, mem.atom_mask.to_bytes(width, "little")))
+        lines.append(atoms + "H" if mem.has_H else atoms[:-1] or "empty")
     return "\n".join(lines) + "\n"

@@ -285,8 +285,8 @@ def instantiate(f: Family, h: int) -> ConcreteFamily:
 def parse_concrete(text) -> ConcreteFamily:
     """Concrete family text: the family format without 'H' tokens, its
     universe read as the ground set {1..n}."""
-    n, members = _parse_members(text, allow_H=False)
-    return ConcreteFamily(n, tuple(mem.atom_mask for mem in members))
+    n, masks = _parse_members(text, allow_H=False)
+    return ConcreteFamily(n, tuple(masks))
 
 
 @dataclass(frozen=True)

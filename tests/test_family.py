@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import signal
 import tracemalloc
+from contextlib import contextmanager
 from functools import cache
 
 import pytest
@@ -54,6 +56,37 @@ def test_member_atom_helpers():
     for _ in range(200):
         mask = rng.getrandbits(20)
         assert mask_of_atoms(atoms_of_mask(mask)) == mask
+
+
+@contextmanager
+def _within(seconds: int):
+    """Turn a hang into a failure: SIGALRM after the given seconds."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_negative_atom_mask_is_refused():
+    with _within(5):
+        for mask in (-1, -2, -(1 << 70)):
+            with pytest.raises(ValueError, match=f"atom mask {mask} is negative"):
+                atoms_of_mask(mask)
+            with pytest.raises(ValueError, match="is negative"):
+                str(Member(mask, False))
+
+
+def test_family_refuses_a_negative_atom_mask_at_once():
+    with _within(5):
+        for members in ((Member(-1, False),), (Member(0, False), Member(-6, True))):
+            with pytest.raises(ValueError, match="is negative"):
+                Family(3, members)
 
 
 def test_member_subset_rules():

@@ -518,7 +518,7 @@ def test_image_tables_relabel_every_mask(m):
 
 
 def _orbit_least(members, m):
-    keys = [mem.key() for mem in members]
+    keys = [(mem.has_H, mem.atom_count, mem.atom_mask) for mem in members]
     return all(sorted((mem.has_H, mem.atom_count, _relabel(mem.atom_mask, perm)) for mem in members) >= keys
                for perm in permutations(range(m)))
 
