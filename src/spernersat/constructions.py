@@ -225,13 +225,13 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     def log(action, before=None, after=None, atom=None):
         steps.append(TraceStep(len(steps), action, before, after, atom))
 
-    had_multi_atom_small = any(mem.is_small and mem.atom_count > 1 for mem in working)
+    had_multi_atom_small = any(not mem.has_H and mem.atom_count > 1 for mem in working)
     step_budget = a.m * a.size
     rewrites = 0
     target = None  # the small a containment redirected the rewrite to
     while True:
         if target is None:
-            target = min((mem for mem in working if mem.is_small and mem.atom_count > 1),
+            target = min((mem for mem in working if not mem.has_H and mem.atom_count > 1),
                          key=Member.key, default=None)
             if target is None:
                 break
@@ -258,10 +258,10 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
         target = None
         while (pair := first_contained_pair(sorted(working, key=Member.key))) is not None:
             inner, outer = pair
-            if inner.is_small and outer.is_small:
+            if not inner.has_H and not outer.has_H:
                 working.remove(outer)
                 log("drop_small_superset", before=outer)
-            elif inner.is_large and outer.is_large:
+            elif inner.has_H and outer.has_H:
                 working.remove(inner)
                 log("drop_large_subset", before=inner)
             else:

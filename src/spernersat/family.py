@@ -55,14 +55,6 @@ class Member:
     def atom_count(self) -> int:
         return self.atom_mask.bit_count()
 
-    @property
-    def is_small(self) -> bool:
-        return not self.has_H
-
-    @property
-    def is_large(self) -> bool:
-        return self.has_H
-
     def cosize(self, m: int) -> int:
         """Atoms missing from the member; for a large member this equals
         n - |S| on every realization of H."""
@@ -132,27 +124,24 @@ class Family:
         if not 0 <= self.m <= MAX_ATOMS:
             raise ValueError(f"universe size must be in [0, {MAX_ATOMS}], got {self.m}")
         ordered = tuple(sorted(self.members, key=Member.key))
-        if len(set(map(packed_key, ordered))) != len(ordered):
-            raise ValueError("duplicate member")
         top = 1 << self.m
         for mem in ordered:
             if not 0 <= mem.atom_mask < top:
                 raise ValueError(f"member {mem} uses atoms outside universe of size {self.m}")
+        # packed keys tell members apart only inside the universe
+        if len(set(map(packed_key, ordered))) != len(ordered):
+            raise ValueError("duplicate member")
         object.__setattr__(self, "members", ordered)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.m) - 1
-
     def smalls(self) -> tuple[Member, ...]:
-        return tuple(mem for mem in self.members if mem.is_small)
+        return tuple(mem for mem in self.members if not mem.has_H)
 
     def larges(self) -> tuple[Member, ...]:
-        return tuple(mem for mem in self.members if mem.is_large)
+        return tuple(mem for mem in self.members if mem.has_H)
 
     def without(self, member: Member) -> "Family":
         if member not in self.members:
@@ -241,13 +230,6 @@ def member_depths(members) -> np.ndarray:
     return depth
 
 
-def longest_chain_length(f: Family) -> int:
-    """Maximum number of members on a chain under proper containment."""
-    if not f.members:
-        return 0
-    return int(member_depths(f.members).max())
-
-
 def _depth_layers(members, depths) -> list[list[Member]]:
     """The members grouped by depth, in their given order: layer i holds the
     members of depth i+1, and there are as many layers as the largest depth."""
@@ -303,15 +285,13 @@ def _decimal_int(tok: str) -> int:
     return int(tok)
 
 
-def _line_key(tokens: list[str], line: str, m: int, allow_H: bool) -> int:
+def _line_key(tokens: list[str], m: int, allow_H: bool) -> int:
     """Packed key of one member line, token by token, or a ValueError
     naming the first thing wrong with it."""
     if tokens == ["empty"]:
         return 0
     if "empty" in tokens:
         raise ValueError("'empty' cannot be combined with other tokens")
-    # int() takes exactly the format's integers on an ASCII line without '_' and '+'
-    to_int = int if line.isascii() and "_" not in line and "+" not in line else _decimal_int
     key = 0
     for tok in tokens:
         if tok == "H" and allow_H:
@@ -320,7 +300,7 @@ def _line_key(tokens: list[str], line: str, m: int, allow_H: bool) -> int:
             key |= 1 << MAX_ATOMS
             continue
         try:
-            atom = to_int(tok)
+            atom = _decimal_int(tok)
         except ValueError:
             raise ValueError(f"malformed token {tok!r}") from None
         if not 1 <= atom <= m:
@@ -374,7 +354,7 @@ def _parse_members(text, allow_H: bool) -> tuple[int, list[int]]:
         key = sum(map(bits.get, tokens, zeros))
         if key.bit_count() != len(tokens):
             try:
-                key = _line_key(tokens, raw.strip(), m, allow_H)
+                key = _line_key(tokens, m, allow_H)
             except ValueError as exc:
                 raise FamilyFormatError(str(exc), lineno) from None
         if key in seen:

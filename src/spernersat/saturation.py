@@ -234,7 +234,7 @@ def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
     return SizeDiagnostics(
         k=k,
         bottom_is_empty=bottom.members == (Member(0, False),),
-        top_is_full=top.members == (Member(top.full_mask, True),),
+        top_is_full=top.members == (Member((1 << top.m) - 1, True),),
         layer1_small_singletons=all(mem.atom_count == 1 for mem in layer1_smalls),
         layer1_small_count_ok=len(layer1_smalls) >= k - 2,
         layer1_single_large=k < 2 or len(layers[1].larges()) == 1,
@@ -423,7 +423,7 @@ def expected_hits(layer: Family, q: float) -> float:
         raise ValueError("q must be strictly between 0 and 1")
     total = 0.0
     for mem in layer.members:
-        if mem.is_small:
+        if not mem.has_H:
             total += q ** mem.atom_count
         else:
             total += (1.0 - q) ** mem.cosize(layer.m)

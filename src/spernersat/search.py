@@ -117,13 +117,11 @@ class SearchCounts:
     """Where the candidates went.  Every candidate tried becomes a node or
     exactly one of the chain, orbit, singleton, reach and layer-1 prunes
     (a singleton prune also ends its candidate loop); every leaf node
-    becomes a shape prune or a verified leaf; layer_count_prunes stays 0
-    and keeps its line in the --stats output."""
+    becomes a shape prune or a verified leaf."""
 
     candidates: int = 0
     chain_prunes: int = 0
     orbit_prunes: int = 0
-    layer_count_prunes: int = 0
     shape_prunes: int = 0
     leaves_verified: int = 0
     singleton_prunes: int = 0

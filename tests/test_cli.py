@@ -226,7 +226,7 @@ def test_search_stats_go_to_stderr_after_the_output(tmp_path, capsys):
     argv = ("search", "--k", "3", "--max-atoms", "2", "--max-size", "4", "--output", str(out_path))
     assert run(capsys, *argv) == (0, _FOUND_3, "")
     assert run(capsys, *argv, "--stats") == (0, _FOUND_3, (
-        "candidates: 2\nchain_prunes: 0\norbit_prunes: 0\nlayer_count_prunes: 0\n"
+        "candidates: 2\nchain_prunes: 0\norbit_prunes: 0\n"
         "shape_prunes: 0\nleaves_verified: 1\nsingleton_prunes: 0\nreach_prunes: 0\n"
         "layer1_prunes: 0\n"))
 
@@ -236,7 +236,7 @@ def test_search_stats_on_an_exhausted_budget(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (4, "")
     assert run(capsys, *argv, "--stats") == (4, out, (
-        "candidates: 86\nchain_prunes: 12\norbit_prunes: 24\nlayer_count_prunes: 0\n"
+        "candidates: 86\nchain_prunes: 12\norbit_prunes: 24\n"
         "shape_prunes: 16\nleaves_verified: 12\nsingleton_prunes: 1\nreach_prunes: 0\n"
         "layer1_prunes: 0\n"))
 

@@ -18,8 +18,11 @@ from spernersat import (
     canonical_decomposition,
     complement_family,
     compose,
+    eps_of,
+    expected_hits,
     is_antichain,
     is_saturated_antichain,
+    layer_lower_bound,
     mask_of_atoms,
     reduce_antichain,
     serialize_family,
@@ -228,6 +231,32 @@ def test_bootstrapped_verifies():
     for k in range(7, 14):
         fam, _ = bootstrapped(k)
         assert verify_saturated_k_sperner(fam, k).verdict, k
+
+
+def _lemma_families():
+    yield "seven56", seven56(), 7
+    for k in range(7, 11):
+        yield f"trivial({k})", trivial_construction(k), k
+    yield "seven56*three", compose(seven56(), three_sperner()), 8
+    yield "seven56*seven56", compose(seven56(), seven56()), 12
+    for k in range(7, 17):
+        yield f"bootstrapped({k})", bootstrapped(k)[0], k
+
+
+def test_built_layers_meet_the_per_layer_lemma():
+    """Layer i of each built k-layer system holds at least
+    layer_lower_bound(j, k) members, j = min(i, k-1-i), wherever j >= 2;
+    and every layer covers at least once in expectation when atoms are kept
+    with probability 1/2 - eps_of(i, k), the weighted covering step behind
+    that bound."""
+    for name, f, k in _lemma_families():
+        layers = canonical_decomposition(f)
+        assert len(layers) == k, name
+        for i, layer in enumerate(layers):
+            j = min(i, k - 1 - i)
+            if j >= 2:
+                assert layer.size >= layer_lower_bound(j, k), (name, i)
+            assert expected_hits(layer, 0.5 - eps_of(i, k)) >= 1, (name, i)
 
 
 def test_bootstrapped_size_identity_arithmetic():

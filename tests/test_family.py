@@ -26,7 +26,6 @@ from spernersat import (
     complement_member,
     is_antichain,
     is_layered,
-    longest_chain_length,
     mask_of_atoms,
     member_depths,
     parse_concrete,
@@ -139,6 +138,11 @@ def test_family_rejects_duplicates_and_range():
         Family(-1, ())
     with pytest.raises(ValueError):
         Family(63, ())
+    # bit 62 of a mask is where a packed key keeps H: the range is checked first
+    with pytest.raises(ValueError, match=r"^member 1 63 uses atoms outside universe of size 2$"):
+        Family(2, (Member(1 << 62 | 1, False), Member(1, True)))
+    with pytest.raises(ValueError, match=r"^member 63 uses atoms outside universe of size 62$"):
+        Family(62, (Member(1 << 62, False), Member(0, True)))
 
 
 def test_family_without():
@@ -152,8 +156,8 @@ def test_family_without():
 def test_smalls_larges_split():
     f = seven56()
     assert len(f.smalls()) + len(f.larges()) == f.size
-    assert all(mem.is_small for mem in f.smalls())
-    assert all(mem.is_large for mem in f.larges())
+    assert not any(mem.has_H for mem in f.smalls())
+    assert all(mem.has_H for mem in f.larges())
     # complement closure makes the split even
     assert len(f.smalls()) == len(f.larges()) == 28
 
@@ -194,11 +198,10 @@ def test_complement_rejects_out_of_universe():
 # ---------------------------------------------------------------- chains
 
 def test_longest_chain_examples():
-    assert longest_chain_length(Family(0, ())) == 0
-    assert longest_chain_length(Family(1, (Member(0, False),))) == 1
-    chain3 = Family(2, (Member(0, False), Member(0b1, False), Member(0b11, False)))
-    assert longest_chain_length(chain3) == 3
-    assert longest_chain_length(seven56()) == 7
+    assert member_depths((Member(0, False),)).tolist() == [1]
+    chain3 = (Member(0, False), Member(0b1, False), Member(0b11, False))
+    assert member_depths(chain3).tolist() == [1, 2, 3]
+    assert member_depths(seven56().members).max() == 7
 
 
 def test_member_depths_on_explicit_chain():
@@ -262,7 +265,7 @@ def test_member_depths_refuses_too_many_atoms_before_building_a_table(monkeypatc
     with pytest.raises(CapacityError, match="members use 29 atoms, more than the 28 the depth tables allow"):
         member_depths(wide)
     with pytest.raises(CapacityError):
-        longest_chain_length(Family(MAX_ATOMS, tuple(wide)))
+        canonical_decomposition(Family(MAX_ATOMS, tuple(wide)))
     # 28 atoms pass the guard: the table (28 atoms and H) is the next step
     with pytest.raises(AssertionError, match="a 29-bit table was requested"):
         member_depths(wide[1:])
@@ -291,7 +294,7 @@ def test_is_antichain_matches_chain_length():
     rng = random.Random(7004)
     for _ in range(300):
         f = random_family(rng)
-        assert is_antichain(f) == (longest_chain_length(f) <= 1)
+        assert is_antichain(f) == (member_depths(f.members).max() <= 1)
 
 
 # ----------------------------------------------------------- decomposition
@@ -321,7 +324,7 @@ def test_decomposition_invariants_random():
     for _ in range(200):
         f = random_family(rng)
         d = canonical_decomposition(f)
-        assert len(d) == longest_chain_length(f)
+        assert len(d) == member_depths(f.members).max()
         seen: set[Member] = set()
         for layer in d:
             assert layer.size > 0

@@ -3,8 +3,10 @@ budget handling, and determinism."""
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -221,6 +223,60 @@ def test_the_enumerator_shares_no_function_with_the_search():
     assert enumerator.isdisjoint(search), enumerator & search
 
 
+def _orbit_counts(m, top):
+    """counts[s] for s in 0..top: the S_m-orbits of s-member sets over m atoms
+    + H, by Burnside's lemma.  Each atom permutation fixes [x^s] of the
+    product, over its cycles c on the 2^m atom masks, of (1 + x^|c|)^2: one
+    factor for the small and one for the large copy of each mask."""
+    total = [0] * (top + 1)
+    for perm in permutations(range(m)):
+        image = [sum(1 << perm[b] for b in range(m) if mask >> b & 1) for mask in range(1 << m)]
+        poly = [1] + [0] * top
+        seen = [False] * (1 << m)
+        for start in range(1 << m):
+            if seen[start]:
+                continue
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = image[x]
+                length += 1
+            for _ in range(2):
+                for d in range(top, length - 1, -1):
+                    poly[d] += poly[d - length]
+        total = [t + p for t, p in zip(total, poly)]
+    assert all(t % factorial(m) == 0 for t in total)
+    return [t // factorial(m) for t in total]
+
+
+def test_orbit_counts_fixed_values():
+    assert _orbit_counts(0, 3) == [1, 2, 1, 0]
+    assert _orbit_counts(5, 5)[1:] == [12, 112, 1056, 10023, 91284]
+
+
+def test_the_search_reaches_one_leaf_per_orbit(monkeypatch):
+    """With the candidate rules and forcing off, only the orbit check prunes.
+    Lex-least representatives are closed under prefixes, so the search must
+    reach exactly one leaf per S_m-orbit of member sets: the Burnside count
+    of every cell (m, size), zero counts included."""
+    leaves = Counter()
+
+    def record(m, members, depths, k):
+        leaves[m, len(members)] += 1
+        return SimpleNamespace(verdict=False)
+
+    monkeypatch.setattr(search_mod, "_candidate_rejection", lambda *args: None)
+    monkeypatch.setattr(search_mod, "_verify_layers", record)
+    for max_atoms, max_size in ((5, 5), (6, 3)):
+        leaves.clear()
+        result = search_min(SearchBounds(k=1, max_atoms=max_atoms, max_size=max_size), forcing=False)
+        assert result.outcome == NONE_WITHIN_BOUNDS
+        for m in range(max_atoms + 1):
+            counts = _orbit_counts(m, max_size)
+            for size in range(1, max_size + 1):
+                assert leaves[m, size] == counts[size], (m, size)
+
+
 # ----------------------------------------------------------- determinism
 
 def test_search_is_deterministic():
@@ -263,11 +319,11 @@ def _roots(bounds, forcing, found=None):
 # candidates, chain, orbit, layer-count and shape prunes, leaves verified,
 # singleton, reach and layer-1 prunes
 _PINNED_COUNTS = {
-    (4, 4, 8, True): SearchCounts(1313, 330, 285, 0, 230, 284, 5, 1, 14),
-    (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (5, 3, 15, True): SearchCounts(1169, 0, 250, 0, 144, 183, 15, 18, 0),
-    (3, 3, 8, False): SearchCounts(4, 0, 0, 0, 0, 1, 0, 0, 0),
-    (3, 4, 6, False): SearchCounts(4, 0, 0, 0, 0, 1, 0, 0, 0),
+    (4, 4, 8, True): SearchCounts(1313, 330, 285, 230, 284, 5, 1, 14),
+    (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0, 0),
+    (5, 3, 15, True): SearchCounts(1169, 0, 250, 144, 183, 15, 18, 0),
+    (3, 3, 8, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
+    (3, 4, 6, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
 }
 
 
@@ -301,7 +357,7 @@ def test_free_search_expands_the_pinned_tree():
     result = search_min(bounds, forcing=False)
     assert (result.outcome, result.nodes, result.family.size) == (FOUND, 3752, 8)
     c = result.counts
-    assert c == SearchCounts(6232, 211, 561, 0, 0, 1521, 0, 1713, 0)
+    assert c == SearchCounts(6232, 211, 561, 0, 1521, 0, 1713, 0)
     assert result.nodes == _roots(bounds, False, result.family) + c.candidates - _candidate_prunes(c)
 
 
@@ -375,8 +431,8 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
     assert result.nodes == 682
     c = result.counts
     assert c == SearchCounts(candidates=1313, chain_prunes=330, orbit_prunes=285,
-                             layer_count_prunes=0, shape_prunes=230, leaves_verified=284,
-                             singleton_prunes=5, reach_prunes=1, layer1_prunes=14)
+                             shape_prunes=230, leaves_verified=284, singleton_prunes=5,
+                             reach_prunes=1, layer1_prunes=14)
     # every candidate tried is a node or exactly one prune
     assert result.nodes == _roots(bounds, True, result.family) + c.candidates - _candidate_prunes(c)
     # every verified leaf goes to the verifier once

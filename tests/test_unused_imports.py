@@ -1,6 +1,7 @@
 """No package module imports a name it never uses, and no module-level
 private name is left unreferenced.  The package's __init__.py imports to
-re-export and is left out of the first check."""
+re-export and is left out of the first check; its __all__ names exactly
+what it imports."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,27 @@ def test_unreferenced_private_names_sees_a_dead_name():
 def test_no_private_name_is_left_unreferenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def imports_and_exports(source: str) -> tuple[list[str], list[str]]:
+    """The names a module binds by import at its top level, and the names
+    its __all__ lists."""
+    tree = ast.parse(source)
+    imported, exported = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            exported += ast.literal_eval(node.value)
+    return imported, exported
+
+
+def test_imports_and_exports_see_both_lists():
+    source = "from a import b, c as d\nimport e\n__all__ = ['b', 'x']\n"
+    assert imports_and_exports(source) == (["b", "d", "e"], ["b", "x"])
+
+
+def test_all_names_exactly_what_the_package_imports():
+    imported, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)
