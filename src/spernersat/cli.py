@@ -40,7 +40,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        raise FamilyFormatError(f"cannot read {path}: {exc.strerror}", 0) from exc
+        raise FamilyFormatError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-atoms", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=SearchBounds.budget)
     p.add_argument("--no-forcing", action="store_true")
     p.add_argument("--output")
     p.add_argument("--stats", action="store_true")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import prod
 
 from .family import (
     MAX_ATOMS,
@@ -55,21 +56,18 @@ def _check_capacity(k: int, atoms: int, size: Callable[[], int], detail: str = "
 
 def trivial_construction(k: int) -> Family:
     """All subsets of k-2 atoms as smalls, plus their complements: the
-    2^(k-1)-member baseline, saturated with k layers.  Raises CapacityError,
-    before building anything, beyond MAX_ATOMS atoms or MAX_MEMBERS members
-    (from k = 23 on)."""
+    2^(k-1)-member baseline, saturated with k layers, as the product of k-2
+    copies of three_sperner().  Raises CapacityError, before building
+    anything, beyond MAX_ATOMS atoms or MAX_MEMBERS members (from k = 23 on)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    m = k - 2
-    _check_capacity(k, m, lambda: 1 << (k - 1))
-    smalls = [Member(mask, False) for mask in range(1 << m)]
-    members = smalls + [complement_member(mem, m) for mem in smalls]
-    return Family(m, tuple(members))
+    _check_capacity(k, k - 2, lambda: 1 << (k - 1))
+    return compose(*[three_sperner()] * (k - 2))
 
 
 def three_sperner() -> Family:
     """Minimum 3-layer system: empty set, one atom, H, and their union."""
-    return trivial_construction(3)
+    return Family(1, tuple(_members([(), (1,)], [(), (1,)])))
 
 
 def _members(small_atom_sets, large_atom_sets) -> list[Member]:
@@ -101,22 +99,27 @@ def seven56() -> Family:
     return Family(7, tuple(lower + layer3 + upper))
 
 
-def compose(f1: Family, f2: Family) -> Family:
-    """Product on disjoint atom universes: smalls pair with smalls, larges
-    with larges (their H blocks merge).  Degrees add as k1 + k2 - 2 and the
-    size is |s1||s2| + |l1||l2|.  Raises CapacityError, before building,
-    beyond MAX_ATOMS atoms or MAX_MEMBERS members."""
-    m = f1.m + f2.m
+def compose(*factors: Family) -> Family:
+    """Product on disjoint atom universes, each factor's atoms after those of
+    the factors before it: smalls pair with smalls, larges with larges (their
+    H blocks merge).  The size is the product of the small counts plus that
+    of the large counts; n saturated factors give degree k1 + ... + kn -
+    2(n - 1), and none give {empty, H} over 0 atoms, trivial_construction(2).
+    Raises CapacityError, before building, beyond MAX_ATOMS atoms or
+    MAX_MEMBERS members."""
+    m = sum(f.m for f in factors)
     if m > MAX_ATOMS:
         raise CapacityError(f"composed universe needs {m} atoms, limit is {MAX_ATOMS}")
-    s1, s2, l1, l2 = f1.smalls(), f2.smalls(), f1.larges(), f2.larges()
-    size = len(s1) * len(s2) + len(l1) * len(l2)
+    size = prod(len(f.smalls()) for f in factors) + prod(len(f.larges()) for f in factors)
     if size > MAX_MEMBERS:
         raise CapacityError(f"composed family needs {size} members, limit is {MAX_MEMBERS}")
-    shift = f1.m
-    members = [Member(a.atom_mask | (b.atom_mask << shift), False) for a in s1 for b in s2]
-    members += [Member(a.atom_mask | (b.atom_mask << shift), True) for a in l1 for b in l2]
-    return Family(m, tuple(members))
+    smalls, larges, shift = [0], [0], 0
+    for f in factors:
+        # the new factor's masks outermost leave long sorted runs for Family's sort
+        smalls = [b.atom_mask << shift | a for b in f.smalls() for a in smalls]
+        larges = [b.atom_mask << shift | a for b in f.larges() for a in larges]
+        shift += f.m
+    return Family(m, tuple([Member(a, False) for a in smalls] + [Member(a, True) for a in larges]))
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ class CompositionPlan:
     @property
     def composed_degree(self) -> int:
         degrees = {"seven56": 7, "three": 3}
-        return sum(degrees[f] for f in self.factors) - 2 * (len(self.factors) - 1) if self.factors else 2
+        return sum(degrees[f] for f in self.factors) - 2 * (len(self.factors) - 1)
 
     @property
     def atoms_needed(self) -> int:
@@ -144,8 +147,8 @@ class CompositionPlan:
 
 
 def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
-    """Best available construction for degree k: fold the composition over
-    j copies of the 56-member system and s copies of the 4-member system.
+    """Best available construction for degree k: one product of j copies of
+    the 56-member system and s copies of the 4-member system.
     For k < 7 this reproduces the power-set construction exactly.  Raises
     CapacityError, from the plan and before building anything, when the
     composed universe would exceed MAX_ATOMS atoms or the family MAX_MEMBERS
@@ -155,12 +158,7 @@ def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
     j, s = divmod(k - 2, 5)
     _check_capacity(k, 7 * j + s, lambda: 2 ** (s + 1) * 28 ** j, f"; plan: j={_written(j)} s={s}")
     plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    family = trivial_construction(2)
-    for _ in range(j):
-        family = compose(family, seven56())
-    for _ in range(s):
-        family = compose(family, three_sperner())
-    return family, plan
+    return compose(*[seven56()] * j, *[three_sperner()] * s), plan
 
 
 @dataclass(frozen=True)

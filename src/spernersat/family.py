@@ -32,10 +32,10 @@ MAX_ATOMS = 62
 
 
 class FamilyFormatError(ValueError):
-    """Malformed family text; carries the 1-based line number."""
+    """Malformed family text; carries its 1-based line, or None if nothing was read."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -341,6 +341,17 @@ def test_undecodable_file_is_a_format_error(tmp_path, capsys):
         assert err == "format error: line 2: byte 0xff is not valid UTF-8\n"
 
 
+def test_unreadable_input_is_a_format_error_without_a_line(tmp_path, capsys):
+    """Nothing was read, so the message names no line."""
+    missing = tmp_path / "nope.txt"
+    cases = ((missing, "No such file or directory"), (tmp_path, "Is a directory"))
+    for command in (["verify", "--k", "3"], ["atoms"]):
+        for path, reason in cases:
+            code, out, err = run(capsys, *command, "--in", str(path))
+            assert (code, out) == (3, "")
+            assert err == f"format error: cannot read {path}: {reason}\n"
+
+
 def test_crlf_file_verifies_as_its_lf_form(tmp_path, capsys):
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
     text = serialize_family(seven56())

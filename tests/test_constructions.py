@@ -1,8 +1,10 @@
 """Built-in constructions, composition, bootstrap plans, and reduction."""
 
 import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,20 @@ from helpers import builtin_families, composed_families, random_saturated_antich
 
 # ----------------------------------------------------------- power set
 
+def _power_set(k: int) -> Family:
+    """Built here, not by the library: every mask on k - 2 atoms as a small
+    and its complement as a large."""
+    m = k - 2
+    full = (1 << m) - 1
+    return Family(m, tuple(member for mask in range(1 << m)
+                           for member in (Member(mask, False), Member(full ^ mask, True))))
+
+
+def test_trivial_construction_is_the_power_set():
+    for k in range(2, 13):
+        assert trivial_construction(k) == _power_set(k), k
+
+
 def test_trivial_construction_exact_members():
     assert set(trivial_construction(2).members) == {Member(0, False), Member(0, True)}
     expected = {
@@ -59,7 +75,7 @@ def test_trivial_construction_guard():
 
 
 def test_three_sperner_is_the_smallest_power_set():
-    assert three_sperner() == trivial_construction(3)
+    assert three_sperner() == trivial_construction(3) == _power_set(3)
     assert three_sperner().size == 4
 
 
@@ -103,7 +119,7 @@ def test_seven56_upper_layers_are_complements():
 # ------------------------------------------------------------- compose
 
 def test_compose_of_threes_is_the_powerset():
-    assert compose(three_sperner(), three_sperner()) == trivial_construction(4)
+    assert compose(three_sperner(), three_sperner()) == _power_set(4)
 
 
 def test_compose_size_identity_all_builtin_pairs():
@@ -174,6 +190,20 @@ def test_compose_size_identity_property(f1, f2):
     assert g.size == len(g.smalls()) + len(g.larges())
 
 
+@settings(max_examples=200, deadline=None)
+@given(_families(), _families(), _families())
+def test_compose_product_laws_property(a, b, c):
+    """compose() is the unit, the product is associative, and the small and
+    large counts multiply."""
+    assert compose() == trivial_construction(2)
+    assert compose(a) == a == compose(compose(), a)
+    abc = compose(a, b, c)
+    assert abc == compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert abc.m == a.m + b.m + c.m
+    assert len(abc.smalls()) == len(a.smalls()) * len(b.smalls()) * len(c.smalls())
+    assert len(abc.larges()) == len(a.larges()) * len(b.larges()) * len(c.larges())
+
+
 # saturated k-Sperner built-ins up to 64 members, so every pair verifies quickly
 _SMALL_BUILTINS = [entry for entry in builtin_families() if entry[1].size <= 64]
 
@@ -213,7 +243,7 @@ def test_builtins_are_complement_closed(k):
 def test_bootstrapped_matches_powerset_below_seven():
     for k in range(2, 7):
         fam, plan = bootstrapped(k)
-        assert fam == trivial_construction(k)
+        assert fam == _power_set(k)
         assert plan.j == 0 and plan.s == k - 2
         assert plan.predicted_size == 2 ** (k - 1)
 
@@ -271,7 +301,7 @@ def test_bootstrapped_size_identity_arithmetic():
         j, s = divmod(k - 2, 5)
         plan = CompositionPlan(k=k, j=j, s=s,
                                factors=("seven56",) * j + ("three",) * s)
-        smalls, larges = 1, 1  # the k=2 seed {empty, H}
+        smalls, larges = 1, 1  # compose() of no factors: {empty, H}
         for name in plan.factors:
             fs, fl = factor_counts[name]
             smalls *= fs
@@ -285,7 +315,7 @@ def test_bootstrapped_size_identity_arithmetic():
 def test_bootstrapped_plan_only_beyond_atom_cap(monkeypatch):
     import spernersat.constructions as constructions_mod
 
-    def no_compose(f1, f2):
+    def no_compose(*factors):
         raise AssertionError("compose ran past the atom cap")
 
     monkeypatch.setattr(constructions_mod, "compose", no_compose)
@@ -302,7 +332,7 @@ def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
     class Composed(Exception):
         pass
 
-    def no_compose(f1, f2):
+    def no_compose(*factors):
         raise Composed()
 
     monkeypatch.setattr(constructions_mod, "compose", no_compose)
@@ -315,6 +345,25 @@ def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
     with pytest.raises(Composed):
         bootstrapped(22)
 
+
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                    .read_text(encoding="utf-8"))
+
+# bootstrapped(15..17): s = 3, s = 4 and the step to j = 3
+PINNED_CONSTRUCT = {
+    15: "786524e988b8f8f6b068dba0afeb9eadff804909c77779fc1330ea6af985d379",
+    16: "fc912374f31c7dc27bd29bdb3d9166b391f106b4b2cd06c7e60cf072b1890027",
+    17: "4d82448f1511409411d78962033a7171855154d167587d46ab169b1b7ac1d12b",
+}
+
+
+def test_bootstrapped_bytes_are_pinned():
+    """The text of bootstrapped(7..14) matches the benchmark's golden
+    `construct` digests, and that of 15..17 its own pins."""
+    expected = {k: GOLDEN[f"construct K={k}"] for k in range(7, 15)} | PINNED_CONSTRUCT
+    for k, digest in expected.items():
+        text = serialize_family(bootstrapped(k)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
 
 def test_a_degree_too_long_to_write_in_decimal_is_a_capacity_error():
