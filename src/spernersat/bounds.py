@@ -15,6 +15,20 @@ ahead.  Upper bounds come from the composed constructions: size
 2^(s+1) * 28^j at degree k = 5j+2+s, i.e. exponent (1 - eps) * k with
 eps = 1 - log2(28)/5 ~ 0.0385, improving on eps = 1 - log2(15)/4.
 
+The layer exponents and their sum are evaluated as numpy arrays, built
+once per k: the exponents (2.0 * i) * (k - i - 1) / (k - 1), the log2
+terms 1 + t (t alone at odd k's centre), their powers of two below the
+peak term, and a left-to-right np.cumsum.  These are the operations of
+a per-term Python loop (the reference in tests/test_bounds.py), in the
+same order and summed sequentially, so every printed byte is the loop's;
+ndarray.sum() adds pairwise and would not be.  The result no longer depends on the
+semantics of Python's sum(), which is compensated from 3.12 on and
+changes sum_lower_log2 at 6 values of k in 7..2100 (k = 39 among them).
+numpy's vectorised pow can differ from the C library's pow in the last
+bit of a single term (on an AVX-512 x86-64 host, 57,326 of the 1.1
+million terms of 7..2100); peak + log2(sum) absorbs that at every k in
+7..20,000 and at 4,000,001.
+
 erf is computed locally to keep the whole chain auditable: a Maclaurin
 series up to |x| = 3 and a continued fraction for the complement beyond,
 both well inside the 1e-12 absolute-error budget.
@@ -25,6 +39,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .family import CapacityError
 from .saturation import _JsonDocument
@@ -113,19 +129,21 @@ def layer_lower_bound(i: int, k: int) -> float:
     return 2.0 ** (2.0 * i * (k - i - 1) / (k - 1))
 
 
-def _layer_bounds_log2(k: int) -> dict[int, float]:
-    """log2 of layer_lower_bound(i, k) for each i in [2, (k-1)//2]."""
-    return {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
+def _layer_bounds_log2(k: int) -> np.ndarray:
+    """log2 of layer_lower_bound(i, k) for each i in [2, (k-1)//2], in order of i."""
+    i = np.arange(2, (k - 1) // 2 + 1)
+    return (2.0 * i) * (k - i - 1) / (k - 1)
 
 
-def _sum_lower_log2(k: int, layers: dict[int, float]) -> float:
+def _sum_lower_log2(k: int, layers: np.ndarray) -> float:
     """log2 of sum_lower_bound(k) from the exponents t of _layer_bounds_log2(k),
     summed in log2 space: 2^(1+t) per layer and its mirror, 2^t at odd k's centre."""
-    terms = [1.0, 1.0 + math.log2(k - 1.0)] + [1.0 + t for t in layers.values()]
+    terms = np.concatenate(([1.0, 1.0 + math.log2(k - 1.0)], 1.0 + layers))
     if k % 2 == 1:
-        terms[-1] = layers[(k - 1) // 2]
-    peak = max(terms)
-    return peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
+        terms[-1] = layers[-1]
+    peak = float(terms.max())
+    # cumsum adds left to right; ndarray.sum() adds pairwise, which changes the last bit at some k
+    return peak + math.log2(np.cumsum(np.power(2.0, terms - peak))[-1])
 
 
 def _linear(log2_value: float) -> float:
@@ -236,7 +254,7 @@ def upper_bound_report(k: int) -> BoundReport:
         erf_log2 = erf_lower_bound_log2(k)
         claimed = k / 2.0 + 0.5 * math.log2(k)
         lower = dict(
-            layer_bounds_log2=layers,
+            layer_bounds_log2=dict(enumerate(layers.tolist(), 2)),
             sum_lower=_linear(sum_log2), sum_lower_log2=sum_log2, erf_lower_log2=erf_log2,
             claimed_lower_log2_166=claimed - 1.66, claimed_lower_log2=claimed,
             margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,

@@ -125,6 +125,30 @@ def test_sum_lower_bound_dominates_its_pieces():
         assert sum_lower_bound(k) == pytest.approx(total, rel=1e-12)
 
 
+def _scalar_layers_and_sum_log2(k):
+    """The per-term evaluation the arrays in bounds.py replace, summed by an
+    explicit left-to-right loop so the reference does not depend on sum()."""
+    layers = {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
+    terms = [1.0, 1.0 + math.log2(k - 1.0)] + [1.0 + t for t in layers.values()]
+    if k % 2 == 1:
+        terms[-1] = layers[(k - 1) // 2]
+    peak = max(terms)
+    total = 0.0
+    for t in terms:
+        total += 2.0 ** (t - peak)
+    return layers, peak + math.log2(total)
+
+
+def test_array_evaluation_is_bit_identical_to_the_scalar_loop():
+    # 7..2100 crosses the switch of sum_lower to inf at k = 2029
+    for k in range(7, 2101):
+        layers, sum_log2 = _scalar_layers_and_sum_log2(k)
+        report = upper_bound_report(k)
+        assert list(report.layer_bounds_log2.items()) == list(layers.items()), k
+        assert report.sum_lower_log2 == sum_log2, k
+        assert sum_lower_bound(k) == (2.0 ** sum_log2 if sum_log2 < 1020 else math.inf), k
+
+
 # ------------------------------------------------------ closed-form bound
 
 def test_bracket_factor_frozen_values():
