@@ -4,9 +4,11 @@ The expected documents were captured from the CLI and are compared byte for
 byte: key order, float spelling, nulls and indentation.  They cover what
 the golden digests do not: false verdicts with witnesses, single-k bound
 reports on both sides of k = 7 and past the point where sum_lower is inf,
-and the atom classes of a concrete family.
+and the atom classes of a concrete family.  Documents too long to inline
+are pinned by their SHA-256.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -193,6 +195,17 @@ def test_bounds_json_bytes_where_sum_lower_is_infinite(capsys):
     assert code == 0
     assert out == (DATA / "bounds_k2100.json").read_text()
     assert '  "sum_lower": null,\n' in out
+
+
+def test_bounds_json_digests_of_a_table_and_a_wide_report(capsys):
+    # pinned independently of to_json_dict, the code path that writes them
+    for argv, digest in (
+        (("--table", "7..300"), "eae64524ef6a78530aaf022c846964345bbc5231e03159aaa21cf2910de31e9a"),
+        (("--k", "2000"), "a35d257c76491ff861952045fbd474b07b9d59b7115349c8750130df5a4fe8df"),
+    ):
+        code, out = run(capsys, "bounds", *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_threshold_json_is_streamed_with_the_bytes_of_one_dump(capsys):
