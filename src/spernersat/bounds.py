@@ -27,7 +27,10 @@ changes sum_lower_log2 at 6 values of k in 7..2100 (k = 39 among them).
 numpy's vectorised pow can differ from the C library's pow in the last
 bit of a single term (on an AVX-512 x86-64 host, 57,326 of the 1.1
 million terms of 7..2100); peak + log2(sum) absorbs that at every k in
-7..20,000 and at 4,000,001.
+7..20,000 and at 4,000,001.  A BoundReport keeps the exponent array
+itself, read as a mapping from layer i = 2 by LayerExponents; a dict of the
+terms is made only where one is read, as the JSON encoder does, so the
+text table never builds one.
 
 erf is computed locally to keep the whole chain auditable: a Maclaurin
 series up to |x| = 3 and a continued fraction for the complement beyond,
@@ -37,7 +40,7 @@ both well inside the 1e-12 absolute-error budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +55,9 @@ EPS_NEW = 1.0 - math.log2(28.0) / 5.0
 EPS_MNS = 1.0 - math.log2(15.0) / 4.0
 
 # Most layer terms (k // 2 per report, one margin per scanned k) one request
-# may hold.  A term costs up to ~420 bytes through `bounds --json` (~90 in
-# text), so the largest accepted request stays under about 1 GB.
+# may hold.  A term costs up to ~350 bytes of peak RSS through `bounds --json`
+# (~40 in text, where it stays in float64 arrays; ~110 per threshold margin),
+# so the largest accepted request stays under about 1 GB.
 MAX_LAYER_TERMS = 2_000_000
 
 
@@ -133,6 +137,40 @@ def _layer_bounds_log2(k: int) -> np.ndarray:
     """log2 of layer_lower_bound(i, k) for each i in [2, (k-1)//2], in order of i."""
     i = np.arange(2, (k - 1) // 2 + 1)
     return (2.0 * i) * (k - i - 1) / (k - 1)
+
+
+class LayerExponents(Mapping):
+    """Read-only mapping i -> log2 of layer_lower_bound(i, k), i = 2..(k-1)//2,
+    over the array of _layer_bounds_log2(k).  It reads as the dict of these
+    items would, and == compares it with any mapping by its items."""
+
+    __slots__ = ("_array",)
+
+    def __init__(self, array: np.ndarray):
+        self._array = array
+
+    def __getitem__(self, i) -> float:
+        if i not in range(2, len(self._array) + 2):
+            raise KeyError(i)
+        return float(self._array[int(i) - 2])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(2, len(self._array) + 2))
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def items(self) -> ItemsView:
+        return _LayerItems(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _LayerItems(ItemsView):
+    # the pairs from one tolist(), not a float per lookup
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._array.tolist())
 
 
 def _sum_lower_log2(k: int, layers: np.ndarray) -> float:
@@ -229,7 +267,7 @@ class BoundReport(_JsonDocument):
     eps_new: float
     eps_mns: float
     margin_upper: float = field(metadata={"margin": "upper_vs_eps"})
-    layer_bounds_log2: dict[int, float] | None = None
+    layer_bounds_log2: LayerExponents | None = None  # the exponent array, keyed from i = 2
     sum_lower: float | None = None
     sum_lower_log2: float | None = None
     erf_lower_log2: float | None = None
@@ -254,7 +292,7 @@ def upper_bound_report(k: int) -> BoundReport:
         erf_log2 = erf_lower_bound_log2(k)
         claimed = k / 2.0 + 0.5 * math.log2(k)
         lower = dict(
-            layer_bounds_log2=dict(enumerate(layers.tolist(), 2)),
+            layer_bounds_log2=LayerExponents(layers),
             sum_lower=_linear(sum_log2), sum_lower_log2=sum_log2, erf_lower_log2=erf_log2,
             claimed_lower_log2_166=claimed - 1.66, claimed_lower_log2=claimed,
             margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,

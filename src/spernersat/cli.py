@@ -3,19 +3,30 @@
 Exit codes: 0 success / verified true / found; 1 verified false / nothing
 found; 2 usage error, or an output file that cannot be written; 3
 unreadable or malformed input; 4 search budget exhausted; 5 input beyond a
-capacity limit (CapacityError).
+capacity limit (CapacityError).  Run as a program (entry), it ends
+silently on SIGPIPE once a reader closes stdout early, as in
+`spernersat bounds --table 7..2000 | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict, replace
 
 from . import bounds as bounds_mod
 from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
-from .family import CapacityError, Family, FamilyFormatError, Member, parse_family, serialize_family
+from .family import (
+    CapacityError,
+    Family,
+    FamilyFormatError,
+    Member,
+    _decimal_int,
+    parse_family,
+    serialize_family,
+)
 from .saturation import (
     brute_force_saturated,
     find_atoms,
@@ -159,7 +170,7 @@ def cmd_bounds(args) -> int:
     if args.table is not None:
         try:
             lo_text, hi_text = args.table.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = _decimal_int(lo_text), _decimal_int(hi_text)
         except ValueError:
             print("--table expects a range like 7..20", file=sys.stderr)
             return EXIT_USAGE
@@ -315,6 +326,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # the default action: a closed stdout ends the process with SIGPIPE, not
+    # a BrokenPipeError traceback and exit 1 ("verified false")
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

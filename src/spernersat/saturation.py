@@ -24,6 +24,7 @@ numpy call is made.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import islice
 
@@ -96,13 +97,13 @@ class _JsonDocument:
 
 
 def _json_value(value):
-    """A dataclass as its own document, a tuple as a list, a dict with its
-    keys as strings in ascending order (values as they are), inf as null."""
+    """A dataclass as its own document, a tuple as a list, a mapping with
+    its keys as strings in ascending order (values as they are), inf as null."""
     if is_dataclass(value):
         return _json_fields(value)
     if isinstance(value, tuple):
         return [_json_value(item) for item in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(key): item for key, item in sorted(value.items())}
     return None if value == math.inf else value
 

@@ -3,6 +3,8 @@ per-layer and summed lower bounds, the closed-form erf bound, the threshold
 scan, and the assembled per-k reports."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -243,6 +245,41 @@ def test_report_upper_margin_nonnegative_through_sixty():
         r = upper_bound_report(k)
         assert r.margin_upper >= 0.0, k
         assert r.upper_log2 <= (1.0 - EPS_NEW) * k + 1e-12, k
+
+
+def test_layer_exponents_read_as_the_dict_of_their_items():
+    k = 12
+    layers = upper_bound_report(k).layer_bounds_log2
+    expected = {i: 2.0 * i * (k - i - 1) / (k - 1) for i in range(2, (k - 1) // 2 + 1)}
+    assert layers == expected and expected == layers
+    assert not layers != expected
+    assert layers != {**expected, 5: 0.0} and layers != {i: expected[i] for i in range(2, 5)}
+    assert layers != list(expected.items())
+    assert list(layers.items()) == list(expected.items())
+    assert all(type(i) is int and type(t) is float for i, t in layers.items())
+    assert list(layers) == [2, 3, 4, 5] and list(layers.values()) == list(expected.values())
+    for i in (1, (k - 1) // 2 + 1):
+        with pytest.raises(KeyError):
+            layers[i]
+        assert i not in layers
+    assert len(layers) == 4 and 2 in layers and 5 in layers and layers[5] == expected[5]
+    assert dict(layers) == expected and layers.get(6) is None
+    report = upper_bound_report(k)
+    assert report == upper_bound_report(k) and upper_bound_report(4) == upper_bound_report(4)
+    assert report == replace(report, layer_bounds_log2=expected)
+    assert report != replace(report, layer_bounds_log2={**expected, 2: 0.0})
+
+
+def test_a_report_holds_its_exponents_as_one_array():
+    # with its 998 terms as a dict, a report of k = 2000 held about 80 KB
+    tracemalloc.start()
+    try:
+        report = upper_bound_report(2000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.layer_bounds_log2) == 998
+    assert held < 16 * 1024, held
 
 
 def test_report_switches_to_log_space_when_sum_overflows():

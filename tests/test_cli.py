@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: exit codes, file round trips, JSON schemas."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import spernersat
 from spernersat import parse_family, seven56, serialize_family, three_sperner
 from spernersat.cli import main
 
@@ -156,6 +162,26 @@ def test_bounds_table_and_threshold(capsys):
 
     code, _, err = run(capsys, "bounds", "--table", "oops")
     assert code == 2
+
+
+def test_bounds_table_range_takes_the_format_integers_only(capsys):
+    for bad in ("2_0..30", "+7..9", "\u0667..9", " 7..9", "7..9 "):
+        code, out, err = run(capsys, "bounds", "--table", bad)
+        assert (code, out, err) == (2, "", "--table expects a range like 7..20\n"), bad
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(spernersat.__file__).parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-m", "spernersat.cli", "bounds", "--table", "7..2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"k\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == -signal.SIGPIPE, code
 
 
 def _reject_constant(name):
