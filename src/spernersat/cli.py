@@ -96,6 +96,10 @@ def cmd_construct(args) -> int:
     if args.kind in ("trivial", "bootstrap") and args.k is None:
         print(f"construct --kind {args.kind} requires --k", file=sys.stderr)
         return EXIT_USAGE
+    degree = {"three": 3, "seven56": 7}.get(args.kind)
+    if degree is not None and args.k not in (None, degree):
+        print(f"construct --kind {args.kind} builds degree {degree}, not --k {args.k}", file=sys.stderr)
+        return EXIT_USAGE
     if args.kind == "trivial":
         family = trivial_construction(args.k)
     elif args.kind == "three":

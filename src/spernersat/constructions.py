@@ -17,11 +17,13 @@ retires one atom for good, which bounds the work by m * |input|.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
 from .family import (
+    H_BIT,
     MAX_ATOMS,
     CapacityError,
     Family,
@@ -110,16 +112,19 @@ def compose(*factors: Family) -> Family:
     m = sum(f.m for f in factors)
     if m > MAX_ATOMS:
         raise CapacityError(f"composed universe needs {m} atoms, limit is {MAX_ATOMS}")
-    size = prod(len(f.smalls()) for f in factors) + prod(len(f.larges()) for f in factors)
+    # a factor's keys are its smalls, then its larges
+    splits = [bisect_left(f.keys, H_BIT) for f in factors]
+    size = prod(splits) + prod(f.size - split for f, split in zip(factors, splits))
     if size > MAX_MEMBERS:
         raise CapacityError(f"composed family needs {size} members, limit is {MAX_MEMBERS}")
-    smalls, larges, shift = [0], [0], 0
-    for f in factors:
-        # the new factor's masks outermost leave long sorted runs for Family's sort
-        smalls = [b.atom_mask << shift | a for b in f.smalls() for a in smalls]
-        larges = [b.atom_mask << shift | a for b in f.larges() for a in larges]
+    smalls, larges, shift = [0], [H_BIT], 0
+    for f, split in zip(factors, splits):
+        # with each factor's masks ascending and outermost, the keys come out
+        # ascending, which Family's sort passes over in one run
+        smalls = [b << shift | a for b in sorted(f.keys[:split]) for a in smalls]
+        larges = [(b ^ H_BIT) << shift | a for b in sorted(f.keys[split:]) for a in larges]
         shift += f.m
-    return Family(m, tuple([Member(a, False) for a in smalls] + [Member(a, True) for a in larges]))
+    return Family.from_keys(m, smalls + larges)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ ambient ground-set size n.
 Canonical member order is (has_H, atom count, atom mask), read as the
 digits of one int (Member.key); proper containment is strictly monotone
 in this key, so sorting doubles as a topological order of the containment
-DAG.
+DAG.  A Family keeps its members as packed keys, the atom mask with H as
+bit MAX_ATOMS, in canonical order; its Member objects are a view built
+when first read.
 
 The canonical decomposition of a family is plain data: a tuple of layers,
 bottom first, each a Family over the same universe, one per member of the
@@ -21,14 +23,18 @@ longest chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import islice, repeat
+from operator import eq
 
 import numpy as np
 
-from .lattice import SCAN_MAX_ATOMS, WORD_BITS, closure, contains, pack
+from .lattice import INT_BITS, SCAN_MAX_ATOMS, closure, contains, pack
 
 MAX_ATOMS = 62
+H_BIT = 1 << MAX_ATOMS  # the bit of a packed key that stands for H
 
 
 class FamilyFormatError(ValueError):
@@ -109,33 +115,69 @@ def mask_of_atoms(atoms) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Family:
     """A duplicate-free set of members over a fixed atom universe.
 
-    Members are stored in canonical order, so two equal families compare
-    and hash identically regardless of construction order.
+    The state is m and the members' packed keys in canonical order, so two
+    equal families compare and hash identically regardless of construction
+    order.  Family(m, members) takes Member objects, Family.from_keys(m,
+    keys) packed keys; both pass through _settle.
     """
 
     m: int
-    members: tuple[Member, ...]
+    keys: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 0 <= self.m <= MAX_ATOMS:
-            raise ValueError(f"universe size must be in [0, {MAX_ATOMS}], got {self.m}")
-        ordered = tuple(sorted(self.members, key=Member.key))
-        top = 1 << self.m
-        for mem in ordered:
-            if not 0 <= mem.atom_mask < top:
-                raise ValueError(f"member {mem} uses atoms outside universe of size {self.m}")
-        # packed keys tell members apart only inside the universe
-        if len(set(map(packed_key, ordered))) != len(ordered):
+    def __init__(self, m: int, members):
+        members = tuple(members)
+        # a mask from bit MAX_ATOMS on would read as H in its key: the range is checked first
+        if 0 <= m <= MAX_ATOMS and (outside := [mem for mem in members if mem.atom_mask >> m]):
+            raise ValueError(f"member {min(outside, key=Member.key)} uses atoms outside "
+                             f"universe of size {m}")
+        self._settle(m, map(packed_key, members))
+
+    @classmethod
+    def from_keys(cls, m: int, keys) -> "Family":
+        """The family of the members with these packed keys, in any order."""
+        family = object.__new__(cls)
+        family._settle(m, keys)
+        return family
+
+    def _settle(self, m: int, keys) -> None:
+        """Check m and the keys (inside the universe, no key twice) and store
+        the keys in canonical order."""
+        if not 0 <= m <= MAX_ATOMS:
+            raise ValueError(f"universe size must be in [0, {MAX_ATOMS}], got {m}")
+        keys = sorted(keys)
+        split = bisect_left(keys, H_BIT)
+        top = 1 << m
+        # the least key, the largest small and the largest key
+        if keys and (keys[0] < 0 or split and keys[split - 1] >= top or keys[-1] >= H_BIT + top):
+            bad = next(key for key in keys if (key & ~H_BIT) >> m)
+            raise ValueError(f"packed key {bad:#x} lies outside universe of size {m}")
+        if any(map(eq, keys, islice(keys, 1, None))):
             raise ValueError("duplicate member")
-        object.__setattr__(self, "members", ordered)
+        # numeric order is (H flag, atom mask); a stable sort of the smalls
+        # and of the larges by bit count puts the atom count before the mask
+        larges = keys[split:]
+        del keys[split:]
+        keys.sort(key=int.bit_count)
+        larges.sort(key=int.bit_count)
+        keys += larges
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "keys", tuple(keys))
+
+    @cached_property
+    def members(self) -> tuple[Member, ...]:
+        """The members in canonical order, as Member objects."""
+        return tuple(Member(key & ~H_BIT, key >= H_BIT) for key in self.keys)
+
+    def __repr__(self) -> str:
+        return f"Family(m={self.m!r}, members={self.members!r})"
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.keys)
 
     def smalls(self) -> tuple[Member, ...]:
         return tuple(mem for mem in self.members if not mem.has_H)
@@ -157,7 +199,8 @@ def complement_member(x: Member, m: int) -> Member:
 
 
 def complement_family(f: Family) -> Family:
-    return Family(f.m, tuple(complement_member(mem, f.m) for mem in f.members))
+    full = H_BIT | ((1 << f.m) - 1)
+    return Family.from_keys(f.m, [key ^ full for key in f.keys])
 
 
 def first_contained_pair(members) -> tuple[Member, Member] | None:
@@ -175,17 +218,15 @@ def is_antichain(f: Family) -> bool:
     return first_contained_pair(f.members) is None
 
 
-def _lattice_keys(members):
-    """(bits, keys): each member's atom mask with H as one more bit,
-    squeezed onto the bits the members use, so that a member properly
-    contains another exactly when its key is a proper bit-superset.  Keys
-    are ints when their lattice fits one word, else an int64 array."""
-    h_bit = 1 << MAX_ATOMS
-    keys = list(map(packed_key, members))
+def _lattice_keys(keys):
+    """(bits, keys): the packed keys squeezed onto the bits they use, so
+    that a member properly contains another exactly when its key is a
+    proper bit-superset.  Keys are ints when their lattice is one int
+    (INT_BITS), else an int64 array."""
     used = 0
     for key in keys:
         used |= key
-    atoms = (used & ~h_bit).bit_count()
+    atoms = (used & ~H_BIT).bit_count()
     if atoms > SCAN_MAX_ATOMS:
         raise CapacityError(f"members use {atoms} atoms, more than the {SCAN_MAX_ATOMS} "
                             "the depth tables allow")
@@ -200,27 +241,29 @@ def _lattice_keys(members):
         return out
 
     bits = used.bit_count()
-    if bits <= WORD_BITS:
+    if bits <= INT_BITS:
         return bits, [squeeze(key) for key in keys]
     return bits, squeeze(np.array(keys, dtype=np.int64))
 
 
-def member_depths(members) -> np.ndarray:
-    """depth[i] = number of members on the longest chain ending at members[i].
+def member_depths(keys) -> np.ndarray:
+    """depth[i] = number of members on the longest chain ending at the
+    member whose packed key is keys[i].
 
-    Members must be duplicate-free.  Levels are peeled on the subset lattice
-    of their keys: A_1 is every member, and A_{d+1} the members of A_d that
+    Keys must be duplicate-free.  Levels are peeled on the subset lattice
+    of the keys: A_1 is every member, and A_{d+1} the members of A_d that
     properly contain a member of A_d, the ones its strict up-closure holds.
     A member's depth is the number of levels it is in.  Raises
     CapacityError, before building any table, when the members use more
     than SCAN_MAX_ATOMS atoms."""
-    bits, keys = _lattice_keys(members)
+    bits, keys = _lattice_keys(keys)
     level = pack(keys, bits)
-    if bits <= WORD_BITS:
+    if bits <= INT_BITS:
+        width = ((1 << bits) + 7) >> 3
         depth = [0] * len(keys)
         while level:
-            for i, key in enumerate(keys):
-                depth[i] += (level >> key) & 1
+            held = level.to_bytes(width, "little")
+            depth = [d + (held[key >> 3] >> (key & 7) & 1) for d, key in zip(depth, keys)]
             level &= closure(level, bits, upward=True, strict=True)[1]
         return np.array(depth, dtype=np.int64)
     depth = np.zeros(len(keys), dtype=np.int64)
@@ -230,12 +273,12 @@ def member_depths(members) -> np.ndarray:
     return depth
 
 
-def _depth_layers(members, depths) -> list[list[Member]]:
-    """The members grouped by depth, in their given order: layer i holds the
-    members of depth i+1, and there are as many layers as the largest depth."""
+def _depth_layers(keys, depths) -> list[list[int]]:
+    """The keys grouped by depth, in their given order: layer i holds the
+    keys of depth i+1, and there are as many layers as the largest depth."""
     layers = [[] for _ in range(max(depths, default=0))]
-    for mem, d in zip(members, depths):
-        layers[d - 1].append(mem)
+    for key, d in zip(keys, depths):
+        layers[d - 1].append(key)
     return layers
 
 
@@ -245,10 +288,10 @@ def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     layers as the longest chain has members.  Layers are antichains over
     f's universe, pairwise disjoint, cover the family, and every member of
     layer i (i >= 1) properly contains a member of layer i-1."""
-    if not f.members:
+    if not f.keys:
         raise ValueError("cannot decompose an empty family")
-    layers = _depth_layers(f.members, member_depths(f.members).tolist())
-    return tuple(Family(f.m, tuple(layer)) for layer in layers)
+    layers = _depth_layers(f.keys, member_depths(f.keys).tolist())
+    return tuple(Family.from_keys(f.m, layer) for layer in layers)
 
 
 def is_layered(layers, *, small_only: bool = False) -> bool:
@@ -358,15 +401,10 @@ def _parse_members(text, allow_H: bool) -> tuple[int, list[int]]:
             except ValueError as exc:
                 raise FamilyFormatError(str(exc), lineno) from None
         if key in seen:
-            raise FamilyFormatError(f"duplicate member '{_unpacked(key)}'", lineno)
+            raise FamilyFormatError(f"duplicate member '{Member(key & ~H_BIT, key >= H_BIT)}'", lineno)
         seen.add(key)
         keys.append(key)
     return m, keys
-
-
-def _unpacked(key: int) -> Member:
-    """The member of a packed key."""
-    return Member(key & ((1 << MAX_ATOMS) - 1), key >> MAX_ATOMS == 1)
 
 
 def parse_family(text) -> Family:
@@ -379,7 +417,7 @@ def parse_family(text) -> Family:
     ASCII digits with an optional leading '-'.
     """
     m, keys = _parse_members(text, allow_H=True)
-    return Family(m, tuple(map(_unpacked, keys)))
+    return Family.from_keys(m, keys)
 
 
 def serialize_family(f: Family) -> str:
@@ -393,8 +431,10 @@ def serialize_family(f: Family) -> str:
         for atom in range(8 * i + 1, 8 * i + 9):
             table += [text + f"{atom} " for text in table]
         tables.append(table)
+    low = H_BIT - 1
     lines = [f"universe {f.m}"]
-    for mem in f.members:
-        atoms = "".join(map(list.__getitem__, tables, mem.atom_mask.to_bytes(width, "little")))
-        lines.append(atoms + "H" if mem.has_H else atoms[:-1] or "empty")
-    return "\n".join(lines) + "\n"
+    for key in f.keys:
+        atoms = "".join(map(list.__getitem__, tables, (key & low).to_bytes(width, "little")))
+        lines.append(atoms + "H" if key > low else atoms[:-1] or "empty")
+    lines.append("")  # the final newline, without a copy of the text to add it
+    return "\n".join(lines)

@@ -1,17 +1,19 @@
 """Bit-packed subset lattices: the verifier's one closure kernel.
 
 The subsets of m bits form a table of 2^m points, point T standing for the
-subset with mask T.  A table of at most 64 points (m <= 6) is one Python
+subset with mask T.  A table of at most 2^INT_BITS points is one Python
 int, point T at bit T; a larger one is a uint64 array of 2^(m-6) words,
 point T at bit T % 64 of word T // 64.  A closure step over bit b moves
-every point without b onto the point with b (or back): inside a word
-(b < 6) by a masked shift, across words (b >= 6) by OR-ing the halves of a
-reshaped array.  The same bit loop runs on both forms, and the int form
-keeps tiny lattices free of numpy's per-call cost, which would dominate
-them.
+every point without b onto the point with b (or back): by a masked shift
+of the whole int, inside a word (b < 6) by a masked shift of every word,
+and across words (b >= 6) by OR-ing the halves of a reshaped array.  The
+int form keeps small lattices free of numpy's per-call cost, which would
+dominate them; its masks span the whole table and are made once per m.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -20,6 +22,13 @@ import numpy as np
 # this.  At 28 atoms a packed table is 2^28 bits = 32 MiB, and the depth
 # pass, whose keys carry H as one more bit, holds four 64 MiB tables at once.
 SCAN_MAX_ATOMS = 28
+
+# Tables of at most 2^INT_BITS points are one Python int.  With the limit
+# swept over 6..17 on one pinned CPU of a 2-vCPU host, verifying 300 random
+# families over at most 8 atoms took 35 ms at 6 and 15-16 ms from 10 on;
+# the bootstrapped(7..14) verifies stayed level up to 14, and at 17 their
+# depth pass took 2.5-3 times as long.
+INT_BITS = 12
 
 WORD_BITS = 6  # a word holds the 2^6 points that differ in bits 0..5
 
@@ -31,13 +40,31 @@ _CLEAR = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
 _WEIGHT = tuple(sum(1 << p for p in range(64) if p.bit_count() == c) for c in range(7))
 
 
+@cache
+def _int_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(halves, weights) of the int form over m bits: halves[b] holds the
+    points whose bit b is clear, weights[c] those with exactly c bits set."""
+    ones = (1 << (1 << m)) - 1
+    # 2^(2^m) - 1 over 2^(2^b) + 1 is the block of 2^b ones then 2^b zeros,
+    # repeated from point 0 on
+    halves = tuple(ones // ((1 << (1 << b)) + 1) for b in range(m))
+    # the weights over bits 0..b from those over bits 0..b-1: a point with
+    # bit b set is the point without it moved up by 2^b
+    weights = [1]
+    for b in range(m):
+        weights = [(weights[c] if c <= b else 0) | (weights[c - 1] << (1 << b) if c else 0)
+                   for c in range(b + 2)]
+    return halves, tuple(weights)
+
+
 def pack(points, m: int):
     """The table over m bits holding exactly the given points."""
-    if m <= WORD_BITS:
-        table = 0
+    if m <= INT_BITS:
+        # set byte by byte: OR-ing 1 << p per point would copy the whole int each time
+        table = bytearray(((1 << m) + 7) >> 3)
         for p in points:
-            table |= 1 << p
-        return table
+            table[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(table, "little")
     points = np.asarray(points, dtype=np.int64)
     table = np.zeros(1 << (m - WORD_BITS), dtype=np.uint64)
     np.bitwise_or.at(table, points >> WORD_BITS, np.left_shift(1, (points & 63).astype(np.uint64)))
@@ -58,18 +85,19 @@ def closure(table, m: int, upward: bool, strict: bool = False):
     words = not isinstance(table, int)
     table = table.copy() if words else table
     proper = np.zeros_like(table) if words and strict else 0
-    for b in range(min(m, WORD_BITS)):
+    clear = _CLEAR[:m] if words else _int_masks(m)[0]
+    for b, half in enumerate(clear):
         if upward:
-            moved = table & _CLEAR[b]
+            moved = table & half
             moved <<= 1 << b
         else:
             moved = table >> (1 << b)
-            moved &= _CLEAR[b]
+            moved &= half
         if strict:
             proper |= moved
         table |= moved
     lo, hi = (0, 1) if upward else (1, 0)
-    for b in range(WORD_BITS, m):
+    for b in range(len(clear), m):
         view = table.reshape(-1, 2, 1 << (b - WORD_BITS))
         if strict:
             proper.reshape(view.shape)[:, hi] |= view[:, lo]
@@ -81,10 +109,8 @@ def first_hole(table, m: int) -> int | None:
     """The point with the fewest set bits among those the table does not
     hold, the lowest of them on a tie; None if it holds every point."""
     if isinstance(table, int):
-        holes = ~table & ((1 << (1 << m)) - 1)
-        for weight in _WEIGHT:
-            if holes & weight:
-                low = holes & weight
+        for weight in _int_masks(m)[1]:
+            if low := ~table & weight:
                 return (low & -low).bit_length() - 1
         return None
     # only the words that are not all ones hold holes

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import islice
 
 from .family import (
+    H_BIT,
     MAX_ATOMS,
     CapacityError,
     Family,
@@ -52,6 +53,14 @@ def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None
     return first_hole(covered, m)
 
 
+def _layer_witness(m: int, keys) -> tuple[int, int, int | None]:
+    """(smalls, larges, witness) of a layer given by packed keys: its small
+    and large counts and _first_uncovered of their atom masks."""
+    smalls = [key for key in keys if key < H_BIT]
+    larges = [key ^ H_BIT for key in keys if key >= H_BIT]
+    return len(smalls), len(larges), _first_uncovered(m, smalls, larges)
+
+
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     """Exhaustive test over all 2^m atom subsets: (True, None), or (False,
     witness) with the mask of the first uncovered subset in canonical order
@@ -60,10 +69,9 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     if layer.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {layer.m} is too large for the exhaustive scan")
     # one level of the depth peeling: no member is on a second level
-    if layer.members and member_depths(layer.members).max() > 1:
+    if layer.keys and member_depths(layer.keys).max() > 1:
         raise ValueError("input is not an antichain")
-    witness = _first_uncovered(layer.m, [mem.atom_mask for mem in layer.smalls()],
-                               [mem.atom_mask for mem in layer.larges()])
+    witness = _layer_witness(layer.m, layer.keys)[2]
     return witness is None, witness
 
 
@@ -148,29 +156,28 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
     and every layer is a saturated antichain."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not f.members:
+    if not f.keys:
         raise ValueError("family is empty")
     if f.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {f.m} is too large for the exhaustive scan")
-    return _verify_layers(f.m, f.members, member_depths(f.members).tolist(), k)
+    return _verify_layers(f.m, f.keys, member_depths(f.keys).tolist(), k)
 
 
-def _verify_layers(m: int, members, depths, k: int) -> VerificationReport:
-    """verify_saturated_k_sperner's report, past its input checks, for
-    members over m atoms with their depths: layer i is those of depth i+1."""
-    layers = _depth_layers(members, depths)
+def _verify_layers(m: int, keys, depths, k: int) -> VerificationReport:
+    """verify_saturated_k_sperner's report, past its input checks, for the
+    packed keys of members over m atoms with their depths: layer i is
+    those of depth i+1."""
+    layers = _depth_layers(keys, depths)
     layer_reports = []
     reasons = []
     for index, layer in enumerate(layers):
-        smalls = [mem.atom_mask for mem in layer if not mem.has_H]
-        larges = [mem.atom_mask for mem in layer if mem.has_H]
         # Members of equal depth cannot properly contain one another: no antichain check.
-        witness = _first_uncovered(m, smalls, larges)
+        smalls, larges, witness = _layer_witness(m, layer)
         layer_reports.append(LayerReport(
             index=index,
             size=len(layer),
-            small=len(smalls),
-            large=len(larges),
+            small=smalls,
+            large=larges,
             antichain=True,
             saturated=witness is None,
             witness_mask=witness,
@@ -276,11 +283,7 @@ def instantiate(f: Family, h: int) -> ConcreteFamily:
     if n > ORACLE_MAX_GROUND:
         raise CapacityError(f"ground set of size {n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
     h_mask = ((1 << h) - 1) << f.m
-    members = tuple(
-        mem.atom_mask | (h_mask if mem.has_H else 0)
-        for mem in f.members
-    )
-    return ConcreteFamily(n, members)
+    return ConcreteFamily(n, tuple(key if key < H_BIT else key ^ H_BIT | h_mask for key in f.keys))
 
 
 def parse_concrete(text) -> ConcreteFamily:

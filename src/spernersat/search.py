@@ -28,8 +28,9 @@ A complete candidate (a leaf) must have what every accepted family has:
   2. with forcing on and k >= 3, the forced layer-1 shape in its depth-2
      members (the verifier's layer 1): singleton smalls, at least k-2 of
      them, exactly one large.
-A leaf that has them goes to _verify_layers with the depths on the stack,
-which decides every acceptance as verify_saturated_k_sperner would.
+A leaf that has them goes to _verify_layers with the packed keys and
+depths on the stack, which decides every acceptance as
+verify_saturated_k_sperner would.
 
 Roots below the size and atom floors of _floors are never expanded: no
 family there is accepted (the argument is at _floors).  Above them, a
@@ -272,9 +273,8 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 tally["shape_prunes"] += 1
                 return None
             tally["leaves_verified"] += 1
-            members = chosen + top
-            report = _verify_layers(m, members, depths + [1 + max(depths)] * len(top), k)
-            return members if report.verdict else None
+            report = _verify_layers(m, keys + top_keys, depths + [1 + max(depths)] * len(top), k)
+            return chosen + top if report.verdict else None
         closed = None  # live restricted to the tables that fix group, once asked for
         height = max(depths, default=0)
         after = need - len(chosen) - 1  # members still to append after a candidate
@@ -320,6 +320,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 if m not in spaces:
                     spaces[m] = _space(m, force)
                 pool, tables, bottom, top = spaces[m]
+                top_keys = [packed_key(mem) for mem in top]
                 need = size - len(top)
                 chosen, keys, depths = list(bottom), [packed_key(mem) for mem in bottom], [1] * len(bottom)
                 found = dfs(0, tables, [], None, 0, False)

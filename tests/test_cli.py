@@ -82,6 +82,19 @@ def test_construct_writes_stdout_without_out(capsys):
     assert parse_family(out) == three_sperner()
 
 
+def test_construct_of_a_fixed_degree_refuses_another_k(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    for kind, k, degree in (("three", 9, 3), ("three", 7, 3), ("seven56", 3, 7), ("seven56", 8, 7)):
+        code, out, err = run(capsys, "construct", "--kind", kind, "--k", str(k), "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"construct --kind {kind} builds degree {degree}, not --k {k}\n"
+        assert not path.exists()
+    for kind, k, family in (("three", 3, three_sperner()), ("seven56", 7, seven56())):
+        code, out, _ = run(capsys, "construct", "--kind", kind, "--k", str(k))
+        assert code == 0
+        assert parse_family(out) == family
+
+
 def test_verify_json_schema(tmp_path, capsys):
     path = tmp_path / "f.txt"
     run(capsys, "construct", "--kind", "three", "--out", str(path))

@@ -28,13 +28,16 @@ from spernersat import (
     is_layered,
     mask_of_atoms,
     member_depths,
+    packed_key,
     parse_concrete,
     parse_family,
     serialize_family,
     seven56,
     three_sperner,
     trivial_construction,
+    verify_saturated_k_sperner,
 )
+from spernersat.family import H_BIT
 from helpers import random_family
 
 
@@ -198,17 +201,17 @@ def test_complement_rejects_out_of_universe():
 # ---------------------------------------------------------------- chains
 
 def test_longest_chain_examples():
-    assert member_depths((Member(0, False),)).tolist() == [1]
+    assert member_depths((packed_key(Member(0, False)),)).tolist() == [1]
     chain3 = (Member(0, False), Member(0b1, False), Member(0b11, False))
-    assert member_depths(chain3).tolist() == [1, 2, 3]
-    assert member_depths(seven56().members).max() == 7
+    assert member_depths(list(map(packed_key, chain3))).tolist() == [1, 2, 3]
+    assert member_depths(seven56().keys).max() == 7
 
 
 def test_member_depths_on_explicit_chain():
     members = tuple(sorted(
         (Member(0, False), Member(0b1, False), Member(0b11, False), Member(0b11, True)),
         key=Member.key))
-    assert list(member_depths(members)) == [1, 2, 3, 4]
+    assert list(member_depths(list(map(packed_key, members)))) == [1, 2, 3, 4]
 
 
 # Masks over a few low atoms and the top ones, so that chains are common and
@@ -229,12 +232,13 @@ def test_member_depths_match_longest_chain_definition(members):
         return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
                        default=0)
 
-    assert member_depths(f.members).tolist() == [longest_ending_at(mem) for mem in f.members]
+    assert member_depths(f.keys).tolist() == [longest_ending_at(mem) for mem in f.members]
 
 
-# Masks over atoms 1..7 and the top two: with H up to ten key bits, so the
-# depth pass runs on word tables and squeezes out the unused atoms between.
-_WIDE_BITS = (*range(7), MAX_ATOMS - 2, MAX_ATOMS - 1)
+# Masks over atoms 1..13 and the top two: with H up to 16 key bits, past
+# the 12 of one int, so the depth pass runs on word tables and squeezes out
+# the unused atoms between.
+_WIDE_BITS = (*range(13), MAX_ATOMS - 2, MAX_ATOMS - 1)
 _wide_members = st.builds(
     lambda bits, has_h: Member(sum(1 << b for b in bits), has_h),
     st.sets(st.sampled_from(_WIDE_BITS)), st.booleans())
@@ -250,7 +254,7 @@ def test_member_depths_on_word_tables_match_longest_chain_definition(members):
         return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
                        default=0)
 
-    assert member_depths(f.members).tolist() == [longest_ending_at(mem) for mem in f.members]
+    assert member_depths(f.keys).tolist() == [longest_ending_at(mem) for mem in f.members]
 
 
 def test_member_depths_refuses_too_many_atoms_before_building_a_table(monkeypatch):
@@ -262,21 +266,22 @@ def test_member_depths_refuses_too_many_atoms_before_building_a_table(monkeypatc
     monkeypatch.setattr(family_mod, "pack", no_table)
     # one singleton per atom: 29 atoms are refused, whatever the atoms' positions
     wide = [Member(1 << (2 * i), i % 2 == 0) for i in range(SCAN_MAX_ATOMS + 1)]
+    wide_keys = list(map(packed_key, wide))
     with pytest.raises(CapacityError, match="members use 29 atoms, more than the 28 the depth tables allow"):
-        member_depths(wide)
+        member_depths(wide_keys)
     with pytest.raises(CapacityError):
         canonical_decomposition(Family(MAX_ATOMS, tuple(wide)))
     # 28 atoms pass the guard: the table (28 atoms and H) is the next step
     with pytest.raises(AssertionError, match="a 29-bit table was requested"):
-        member_depths(wide[1:])
+        member_depths(wide_keys[1:])
 
 
 def test_member_depths_memory_is_linear():
-    members = bootstrapped(13)[0].members
-    assert len(members) == 3136
+    keys = bootstrapped(13)[0].keys
+    assert len(keys) == 3136
     tracemalloc.start()
     try:
-        member_depths(members)
+        member_depths(keys)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -294,7 +299,7 @@ def test_is_antichain_matches_chain_length():
     rng = random.Random(7004)
     for _ in range(300):
         f = random_family(rng)
-        assert is_antichain(f) == (member_depths(f.members).max() <= 1)
+        assert is_antichain(f) == (member_depths(f.keys).max() <= 1)
 
 
 # ----------------------------------------------------------- decomposition
@@ -324,7 +329,7 @@ def test_decomposition_invariants_random():
     for _ in range(200):
         f = random_family(rng)
         d = canonical_decomposition(f)
-        assert len(d) == member_depths(f.members).max()
+        assert len(d) == member_depths(f.keys).max()
         seen: set[Member] = set()
         for layer in d:
             assert layer.size > 0
@@ -407,6 +412,56 @@ def test_serialized_lines_are_the_members_in_order(f):
     header, *lines = serialize_family(f).split("\n")[:-1]
     assert header == f"universe {f.m}"
     assert lines == [str(mem) for mem in f.members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(), st.randoms(use_true_random=False))
+def test_key_constructor_builds_the_family_of_the_member_constructor(f, rng):
+    members = list(f.members)
+    rng.shuffle(members)
+    keys = [packed_key(mem) for mem in members]
+    by_keys, by_members = Family.from_keys(f.m, keys), Family(f.m, members)
+    assert by_keys == by_members == f
+    assert hash(by_keys) == hash(by_members)
+    assert by_keys.members == by_members.members == tuple(sorted(members, key=Member.key))
+    assert by_keys.keys == by_members.keys == tuple(sorted(keys, key=lambda key: (
+        key >= H_BIT, key.bit_count(), key)))
+    text = serialize_family(by_keys)
+    assert serialize_family(by_members) == text
+    assert parse_family(text) == by_keys
+    assert parse_family(text).members == by_keys.members
+
+
+def test_key_constructor_refuses_keys_outside_the_universe_and_twice():
+    assert Family.from_keys(MAX_ATOMS, [H_BIT | (H_BIT - 1)]).members == (
+        Member(H_BIT - 1, True),)
+    for keys in ([0b100], [H_BIT | 0b100], [-1], [2 * H_BIT], [0, H_BIT, H_BIT + 4]):
+        with pytest.raises(ValueError, match="outside universe of size 2$"):
+            Family.from_keys(2, keys)
+    with pytest.raises(ValueError, match="^duplicate member$"):
+        Family.from_keys(2, [H_BIT | 1, 0, H_BIT | 1])
+    with pytest.raises(ValueError, match=r"^universe size must be in \[0, 62\], got 63$"):
+        Family.from_keys(63, [])
+
+
+def test_parse_verify_and_compose_build_no_member(monkeypatch):
+    """The text, the verifier and compose work on packed keys: Member objects
+    are made only when a family's members are read."""
+    text = serialize_family(bootstrapped(10)[0])
+    factors = (seven56(), three_sperner(), three_sperner(), three_sperner())
+    built = []
+    init = Member.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Member, "__init__", counted)
+    family = parse_family(text)
+    assert verify_saturated_k_sperner(family, 10).verdict
+    assert compose(*factors) == family
+    assert built == []
+    assert len(family.members) == len(built) == 448
 
 
 # Universe sizes on either side of each byte of the atom mask.

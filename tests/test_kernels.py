@@ -1,5 +1,5 @@
-"""The packed lattice kernels and the oracle's bit-table closure against
-direct O(4^m) definitions, the oracle's level peeling against a memoized
+"""The packed lattice kernels, in both table forms, and the oracle's
+bit-table closure against direct definitions, the oracle's level peeling against a memoized
 longest-chain definition, the oracle against the direct definition of a
 saturated k-Sperner system, and the guards on what the layer verifier
 reaches: nothing of the brute-force oracle, and no pair scan on its own
@@ -8,12 +8,13 @@ layers."""
 from functools import cache
 from itertools import islice
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spernersat import saturation
 from spernersat import Family, Member
-from spernersat.lattice import closure, first_hole, pack
+from spernersat.lattice import INT_BITS, closure, first_hole, pack
 from spernersat.saturation import (
     ConcreteFamily,
     _first_uncovered,
@@ -33,7 +34,7 @@ def _tables(elements, max_m=6):
 
 
 def _unpack(table, m: int) -> list[bool]:
-    # the 2^m points of a packed table, one int below 64 points, words above
+    # the 2^m points of a packed table: one int up to 2^INT_BITS points, words above
     if isinstance(table, int):
         return [bool((table >> t) & 1) for t in range(1 << m)]
     return [bool((int(table[t >> 6]) >> (t & 63)) & 1) for t in range(1 << m)]
@@ -44,7 +45,8 @@ def _related(s: int, t: int, from_below: bool) -> bool:
     return (s & ~t == 0) if from_below else (t & ~s == 0)
 
 
-# m up to 8, so the word-level steps (bits 6 and 7) run as well as the in-word shifts
+# m up to 8 through pack, which makes the int form: its shifts by 64 points
+# and more run as well as those inside 64 (the word form is tested below)
 @settings(max_examples=200, deadline=None)
 @given(_tables(st.booleans(), max_m=8), st.booleans())
 def test_verifier_closure_matches_definition(case, upward):
@@ -62,9 +64,66 @@ def test_verifier_closure_matches_definition(case, upward):
     assert _unpack(table, m) == before == values
 
 
+def _subsets(t: int):
+    # every subset of the mask t, t itself first
+    s = t
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & t
+
+
+def _closure_by_definition(values, m: int, upward: bool) -> tuple[list[bool], list[bool]]:
+    # (closure, proper closure), each point's subsets (supersets) enumerated
+    full = (1 << m) - 1
+    incl, proper = [], []
+    for t in range(1 << m):
+        related = _subsets(t) if upward else (t | s for s in _subsets(full & ~t))
+        held = [s for s in related if values[s]]
+        incl.append(bool(held))
+        proper.append(any(s != t for s in held))
+    return incl, proper
+
+
+@st.composite
+def _word_form_cases(draw):
+    # tables at m = 7..9, more points than one word holds and fewer than the
+    # int form takes up to, arbitrary or with only a few holes
+    m = draw(st.integers(7, 9))
+    if draw(st.booleans()):
+        return m, draw(st.lists(st.booleans(), min_size=1 << m, max_size=1 << m))
+    holes = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=4))
+    return m, [t not in holes for t in range(1 << m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_form_cases(), st.booleans())
+def test_word_form_matches_definitions_and_the_int_form(case, upward):
+    """pack makes one int at these m; the word form, built here, still meets
+    the definitions of closure and first_hole, and the int form at the same m."""
+    m, values = case
+    assert m <= INT_BITS
+    one_int = sum(1 << t for t, v in enumerate(values) if v)
+    assert pack([t for t, v in enumerate(values) if v], m) == one_int
+    words = np.array([sum(int(v) << b for b, v in enumerate(values[w:w + 64]))
+                      for w in range(0, 1 << m, 64)], dtype=np.uint64)
+    want, want_proper = _closure_by_definition(values, m, upward)
+    incl, proper = closure(words, m, upward=upward, strict=True)
+    assert _unpack(incl, m) == want
+    assert _unpack(proper, m) == want_proper
+    assert _unpack(closure(words, m, upward=upward), m) == want
+    assert _unpack(words, m) == values
+    int_incl, int_proper = closure(one_int, m, upward=upward, strict=True)
+    assert (_unpack(int_incl, m), _unpack(int_proper, m)) == (want, want_proper)
+    holes = [t for t, v in enumerate(values) if not v]
+    first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
+    assert first_hole(words, m) == first_hole(one_int, m) == first
+
+
 @st.composite
 def _nearly_full_tables(draw):
-    # every point but a few holes, so that most words are all ones
+    # every point but a few holes, so that the holes sit among set points
     m = draw(st.integers(0, 8))
     holes = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=4))
     return m, [t not in holes for t in range(1 << m)]
@@ -81,7 +140,7 @@ def test_first_hole_is_the_lightest_then_lowest_missing_point(case):
 
 @st.composite
 def _layers(draw):
-    # arbitrary members over m <= 8 atoms: one or two words of points and more
+    # arbitrary members over m <= 8 atoms
     m = draw(st.integers(0, 8))
     members = draw(st.sets(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()), max_size=12))
     return Family(m, tuple(Member(mask, has_h) for mask, has_h in members))

@@ -261,8 +261,8 @@ def test_the_search_reaches_one_leaf_per_orbit(monkeypatch):
     of every cell (m, size), zero counts included."""
     leaves = Counter()
 
-    def record(m, members, depths, k):
-        leaves[m, len(members)] += 1
+    def record(m, keys, depths, k):
+        leaves[m, len(keys)] += 1
         return SimpleNamespace(verdict=False)
 
     monkeypatch.setattr(search_mod, "_candidate_rejection", lambda *args: None)
@@ -386,9 +386,9 @@ def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
         sent.append((family, k))
         return verify_saturated_k_sperner(family, k)
 
-    def recording_leaf(m, members, depths, k):
-        sent.append((Family(m, tuple(members)), k))
-        return _verify_layers(m, members, depths, k)
+    def recording_leaf(m, keys, depths, k):
+        sent.append((Family.from_keys(m, keys), k))
+        return _verify_layers(m, keys, depths, k)
 
     monkeypatch.setattr(search_mod, "verify_saturated_k_sperner", recording)
     monkeypatch.setattr(search_mod, "_verify_layers", recording_leaf)
@@ -478,19 +478,20 @@ def _canonical_members(draw):
 def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
     m, forced, members = case
     depths = _depths(members)
-    assert depths == member_depths(members).tolist()
+    keys = [packed_key(mem) for mem in members]
+    assert depths == member_depths(keys).tolist()
     if forced:
         # the search sets the forced top's depth without a scan
         assert depths[-1] == 1 + max(depths[:-1])
     report = verify_saturated_k_sperner(Family(m, tuple(members)), k)
-    assert _verify_layers(m, members, depths, k).to_json_dict() == report.to_json_dict()
+    assert _verify_layers(m, keys, depths, k).to_json_dict() == report.to_json_dict()
 
 
 def _accepted_shape(members, k, forcing):
     """What every family the search accepts has: largest depth k and, with
     forcing on and k >= 3, the forced layer-1 shape in the depth-2 members
     (singleton smalls, at least k-2 of them, exactly one large)."""
-    depths = member_depths(members).tolist()
+    depths = member_depths([packed_key(mem) for mem in members]).tolist()
     if max(depths) != k:
         return False
     if forcing and k >= 3:
