@@ -59,6 +59,13 @@ def _int_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def pack(points, m: int):
     """The table over m bits holding exactly the given points."""
+    if m <= WORD_BITS:
+        # an OR per point: at 64 points or fewer it is cheaper than a bytearray,
+        # which the search's leaves, a few points per table, would pay for
+        table = 0
+        for p in points:
+            table |= 1 << p
+        return table
     if m <= INT_BITS:
         # set byte by byte: OR-ing 1 << p per point would copy the whole int each time
         table = bytearray(((1 << m) + 7) >> 3)

@@ -53,14 +53,6 @@ def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None
     return first_hole(covered, m)
 
 
-def _layer_witness(m: int, keys) -> tuple[int, int, int | None]:
-    """(smalls, larges, witness) of a layer given by packed keys: its small
-    and large counts and _first_uncovered of their atom masks."""
-    smalls = [key for key in keys if key < H_BIT]
-    larges = [key ^ H_BIT for key in keys if key >= H_BIT]
-    return len(smalls), len(larges), _first_uncovered(m, smalls, larges)
-
-
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     """Exhaustive test over all 2^m atom subsets: (True, None), or (False,
     witness) with the mask of the first uncovered subset in canonical order
@@ -71,7 +63,8 @@ def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
     # one level of the depth peeling: no member is on a second level
     if layer.keys and member_depths(layer.keys).max() > 1:
         raise ValueError("input is not an antichain")
-    witness = _layer_witness(layer.m, layer.keys)[2]
+    witness = _first_uncovered(layer.m, [key for key in layer.keys if key < H_BIT],
+                               [key ^ H_BIT for key in layer.keys if key >= H_BIT])
     return witness is None, witness
 
 
@@ -171,13 +164,15 @@ def _verify_layers(m: int, keys, depths, k: int) -> VerificationReport:
     layer_reports = []
     reasons = []
     for index, layer in enumerate(layers):
+        smalls = [key for key in layer if key < H_BIT]
+        larges = [key ^ H_BIT for key in layer if key >= H_BIT]
         # Members of equal depth cannot properly contain one another: no antichain check.
-        smalls, larges, witness = _layer_witness(m, layer)
+        witness = _first_uncovered(m, smalls, larges)
         layer_reports.append(LayerReport(
             index=index,
             size=len(layer),
-            small=smalls,
-            large=larges,
+            small=len(smalls),
+            large=len(larges),
             antichain=True,
             saturated=witness is None,
             witness_mask=witness,
