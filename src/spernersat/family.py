@@ -294,24 +294,6 @@ def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     return tuple(Family.from_keys(f.m, layer) for layer in layers)
 
 
-def is_layered(layers, *, small_only: bool = False) -> bool:
-    """Every member of layer i properly contains some member of layer i-1.
-
-    With small_only=True only the small members participate on both sides,
-    which is the criterion that transfers layering through saturated
-    antichains sharing the block H.
-    """
-    layers = list(layers)
-    for prev, cur in zip(layers, layers[1:]):
-        if prev.m != cur.m:
-            raise ValueError("layers live on different universes")
-        below = prev.smalls() if small_only else prev.members
-        for mem in (cur.smalls() if small_only else cur.members):
-            if not any(b.is_proper_subset(mem) for b in below):
-                return False
-    return True
-
-
 def _next_line(prefix: str) -> int:
     """1-based line of the character that would follow prefix, counted the
     way splitlines numbers the parser's lines."""

@@ -7,9 +7,8 @@ compares to smalls and larges exactly as its atom part does.  A system is
 a saturated k-Sperner family precisely when its canonical decomposition
 has exactly k layers and each layer passes this test; the verifier scans
 the atom masks of each depth's members, from depths the search may carry.
-size_bounds_check asks the size facts of minimum systems of any layer
-tuple.  Every report that is a JSON document of its own gets to_json_dict
-from one base class.
+Every report that is a JSON document of its own gets to_json_dict from one
+base class.
 
 The module also carries the fully concrete side: instantiating the block H
 as h real elements, recovering the atom structure of a concrete family
@@ -183,66 +182,6 @@ def _verify_layers(m: int, keys, depths, k: int) -> VerificationReport:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
     return VerificationReport(verdict=not reasons, k=k, layer_count=len(layers),
                               layers=tuple(layer_reports), reasons=tuple(reasons))
-
-
-@dataclass(frozen=True)
-class LayerSizeDiagnostics:
-    index: int
-    small_count: int
-    large_count: int
-    small_min_size_ok: bool   # every small has at least `index` atoms
-    large_cosize_ok: bool     # every large misses at least k-1-index atoms
-    flat: bool                # smalls share one size, larges one co-size
-
-
-@dataclass(frozen=True)
-class SizeDiagnostics:
-    """Structural facts that hold for minimum-size systems; informational
-    for everything else, so no verdict is attached."""
-
-    k: int
-    bottom_is_empty: bool
-    top_is_full: bool
-    layer1_small_singletons: bool
-    layer1_small_count_ok: bool   # at least k-2 smalls in layer 1
-    layer1_single_large: bool
-    per_layer: tuple[LayerSizeDiagnostics, ...]
-
-
-def size_bounds_check(layers: tuple[Family, ...], k: int) -> SizeDiagnostics:
-    """The size facts of a minimum system, asked of k layers over one
-    universe, bottom first (a canonical decomposition, or any layer tuple)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(layers) != k:
-        raise ValueError(f"expected {k} layers, found {len(layers)}")
-    per_layer = []
-    for index, layer in enumerate(layers):
-        smalls = layer.smalls()
-        larges = layer.larges()
-        small_sizes = {mem.atom_count for mem in smalls}
-        large_cosizes = {mem.cosize(layer.m) for mem in larges}
-        per_layer.append(LayerSizeDiagnostics(
-            index=index,
-            small_count=len(smalls),
-            large_count=len(larges),
-            small_min_size_ok=all(s >= index for s in small_sizes),
-            large_cosize_ok=all(c >= k - 1 - index for c in large_cosizes),
-            flat=len(small_sizes) <= 1 and len(large_cosizes) <= 1,
-        ))
-    bottom = layers[0]
-    top = layers[-1]
-    # the layer-1 shape of a minimum system; a one-layer tuple has no layer 1
-    layer1_smalls = layers[1].smalls() if k >= 2 else ()
-    return SizeDiagnostics(
-        k=k,
-        bottom_is_empty=bottom.members == (Member(0, False),),
-        top_is_full=top.members == (Member((1 << top.m) - 1, True),),
-        layer1_small_singletons=all(mem.atom_count == 1 for mem in layer1_smalls),
-        layer1_small_count_ok=len(layer1_smalls) >= k - 2,
-        layer1_single_large=k < 2 or len(layers[1].larges()) == 1,
-        per_layer=tuple(per_layer),
-    )
 
 
 @dataclass(frozen=True)

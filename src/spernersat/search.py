@@ -19,8 +19,9 @@ the depth-first stack.  Relabelings read one image table per atom
 permutation (the image of every atom mask, m! * 2^m bytes per m); the
 orbit check compares only the relabelings that fix every completed group
 of equal (H flag, atom count), and only on the open group (the argument is
-at _fixing).  The candidate pool and the tables of each m are built once
-per call, when the search first reaches that m.
+at _fixing).  The candidate pool (each candidate's packed key, atom mask
+and group) and the tables of each m are built once per call, when the
+search first reaches that m; the search builds no Member.
 
 A complete candidate (a leaf) must have what every accepted family has:
   1. largest depth k, because the verifier's layer count is the largest
@@ -74,7 +75,7 @@ from itertools import permutations
 import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
-from .family import CapacityError, Family, Member, member_depths, packed_key  # noqa: F401
+from .family import H_BIT, CapacityError, Family, member_depths  # noqa: F401
 from .saturation import _verify_layers, verify_saturated_k_sperner
 
 FOUND = "FOUND"
@@ -156,9 +157,11 @@ def canonical_form(f: Family) -> Family:
     CapacityError beyond CANONICAL_MAX_ATOMS atoms."""
     if f.m > CANONICAL_MAX_ATOMS:
         raise CapacityError(f"canonical form supports at most {CANONICAL_MAX_ATOMS} atoms")
-    best = min(sorted((mem.has_H, mem.atom_count, table[mem.atom_mask]) for mem in f.members)
+    # a large's bit count includes H, which keeps the larges in atom-count order
+    entries = [(key >= H_BIT, key.bit_count(), key & ~H_BIT) for key in f.keys]
+    best = min(sorted([(has_h, count, table[mask]) for has_h, count, mask in entries])
                for table in _image_tables(f.m))
-    return Family(f.m, tuple(Member(mask, has_h) for has_h, _, mask in best))
+    return Family.from_keys(f.m, [H_BIT * has_h | mask for has_h, _, mask in best])
 
 
 # The orbit check.  A relabeling keeps every member's H flag and atom count,
@@ -235,13 +238,13 @@ class _Budget(Exception):
 
 def _space(m: int, force: bool):
     """(pool, tables, bottom, top) on m atoms: the candidates in canonical
-    order with their packed keys and groups, the image tables without the
-    identity (which never sorts lower), and the forced bottom and top."""
-    forced = [Member(0, False), Member((1 << m) - 1, True)] if force else []
-    pool = [(mem, packed_key(mem), (mem.has_H, mem.atom_count))
-            for mem in sorted((Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)),
-                              key=Member.key)
-            if mem not in forced]
+    order as (packed key, atom mask, group (H flag, atom count)), the image
+    tables without the identity (which never sorts lower), and the packed
+    keys of the forced bottom and top."""
+    forced = [0, H_BIT | (1 << m) - 1] if force else []
+    ordered = sorted(((has_h, mask.bit_count()), mask)
+                     for has_h in (False, True) for mask in range(1 << m))
+    pool = [(key, mask, kind) for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
     return pool, _image_tables(m)[1:], forced[:1], forced[1:]
 
 
@@ -260,26 +263,27 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     spaces = {}  # m -> _space(m, force)
 
     def dfs(start, live, group, group_kind, singletons, large2):
-        # Extends chosen, keys and depths (every member but the forced top)
-        # from pool[start:]; live, group and group_kind are the orbit check's
+        # Extends keys and depths (every member but the forced top) from
+        # pool[start:]; live, group and group_kind are the orbit check's
         # state, singletons and large2 _candidate_rejection's.  Returns the
-        # members of the first verified leaf, or None.
+        # keys of the first verified leaf, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
-        if len(chosen) == need:
+        if len(keys) == need:
             if shaped and not large2:
                 tally["shape_prunes"] += 1
                 return None
             tally["leaves_verified"] += 1
-            report = _verify_layers(m, keys + top_keys, depths + [1 + max(depths)] * len(top), k)
-            return chosen + top if report.verdict else None
+            leaf = keys + top
+            report = _verify_layers(m, leaf, depths + [1 + max(depths)] * len(top), k)
+            return leaf if report.verdict else None
         closed = None  # live restricted to the tables that fix group, once asked for
         height = max(depths, default=0)
-        after = need - len(chosen) - 1  # members still to append after a candidate
-        for idx in range(start, len(pool) + len(chosen) - need + 1):
-            candidate, key, kind = pool[idx]
+        after = need - len(keys) - 1  # members still to append after a candidate
+        for idx in range(start, len(pool) + len(keys) - need + 1):
+            key, mask, kind = pool[idx]
             tally["candidates"] += 1
             depth = _carried_depth(key, keys, depths)
             reason = _candidate_rejection(kind, depth, max(height, depth) + after,
@@ -290,20 +294,18 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                     break
                 continue
             if kind == group_kind:
-                next_live, next_group = live, group + [candidate.atom_mask]
+                next_live, next_group = live, group + [mask]
             else:
                 if closed is None:
                     closed = _fixing(live, group)
-                next_live, next_group = closed, [candidate.atom_mask]
+                next_live, next_group = closed, [mask]
             if not _least_in_group(next_live, next_group):
                 tally["orbit_prunes"] += 1
                 continue
-            chosen.append(candidate)
             keys.append(key)
             depths.append(depth)
             found = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
                         large2 or (kind[0] and depth == 2))
-            chosen.pop()
             keys.pop()
             depths.pop()
             if found is not None:
@@ -320,12 +322,11 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 if m not in spaces:
                     spaces[m] = _space(m, force)
                 pool, tables, bottom, top = spaces[m]
-                top_keys = [packed_key(mem) for mem in top]
                 need = size - len(top)
-                chosen, keys, depths = list(bottom), [packed_key(mem) for mem in bottom], [1] * len(bottom)
+                keys, depths = list(bottom), [1] * len(bottom)
                 found = dfs(0, tables, [], None, 0, False)
                 if found is not None:
-                    family = Family(m, tuple(found))
+                    family = Family.from_keys(m, found)
                     if not verify_saturated_k_sperner(family, k).verdict:
                         raise RuntimeError("search emitted an unverified family; this is a defect")
                     return result(FOUND, family)

@@ -25,7 +25,6 @@ from spernersat import (
     complement_family,
     complement_member,
     is_antichain,
-    is_layered,
     mask_of_atoms,
     member_depths,
     packed_key,
@@ -316,6 +315,11 @@ def test_decomposition_trivial_examples():
     assert set(d[0].members) == {Member(0b01, False), Member(0b10, False)}
     assert d[1].members == (Member(0b11, False),)
 
+    # three_sperner's layers written out by hand
+    layers = (Family(1, (Member(0, False),)), Family(1, (Member(1, False), Member(0, True))),
+              Family(1, (Member(1, True),)))
+    assert canonical_decomposition(three_sperner()) == layers
+
 
 def test_decomposition_rejects_empty():
     with pytest.raises(ValueError):
@@ -337,27 +341,29 @@ def test_decomposition_invariants_random():
             assert not (seen & set(layer.members))
             seen.update(layer.members)
         assert seen == set(f.members)
-        assert is_layered(d)
+        assert _layered(d)
+
+
+def _layered(layers, *, small_only: bool = False) -> bool:
+    """Every key of layer i >= 1 is a proper bit-superset of some key of
+    layer i-1; with small_only, of the smalls (keys below H_BIT) alone."""
+    stack = [[key for key in layer.keys if not small_only or key < H_BIT] for layer in layers]
+    return all(any(low != key and low & ~key == 0 for low in below)
+               for below, above in zip(stack, stack[1:]) for key in above)
+
+
+def test_layered_check_sees_a_gap():
+    # {2} does not properly contain {1}, so the stack is not layered
+    top = Family(2, (Member(0b10, False),))
+    assert not _layered([Family(2, (Member(0b01, False),)), top])
+    assert _layered([Family(2, (Member(0, False),)), top])
 
 
 def test_seven56_layer_profile():
     d = canonical_decomposition(seven56())
     assert [layer.size for layer in d] == [1, 6, 14, 14, 14, 6, 1]
-    assert is_layered(d)
-    assert is_layered(d, small_only=True)
-
-
-def test_is_layered_detects_gap():
-    # {2} does not properly contain {1}, so the stack is not layered
-    bottom = Family(2, (Member(0b01, False),))
-    top = Family(2, (Member(0b10, False),))
-    assert not is_layered([bottom, top])
-    assert is_layered([Family(2, (Member(0, False),)), top])
-
-
-def test_is_layered_rejects_mixed_universes():
-    with pytest.raises(ValueError):
-        is_layered([Family(2, (Member(0, False),)), Family(3, (Member(0b1, False),))])
+    assert _layered(d)
+    assert _layered(d, small_only=True)
 
 
 # ------------------------------------------------------------ text format

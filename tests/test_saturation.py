@@ -30,7 +30,6 @@ from spernersat import (
     mask_of_atoms,
     parse_concrete,
     seven56,
-    size_bounds_check,
     three_sperner,
     trivial_construction,
     verify_saturated_k_sperner,
@@ -203,52 +202,6 @@ def test_single_member_removal_breaks_saturation():
         for mem in f.members:
             report = verify_saturated_k_sperner(f.without(mem), k)
             assert not report.verdict, f"{name} minus {mem} still verified"
-
-
-# ----------------------------------------------------- size diagnostics
-
-def test_size_bounds_check_seven56():
-    d = canonical_decomposition(seven56())
-    diag = size_bounds_check(d, 7)
-    assert diag.bottom_is_empty and diag.top_is_full
-    assert diag.layer1_small_singletons
-    assert diag.layer1_small_count_ok          # 5 >= k-2
-    assert diag.layer1_single_large
-    for per in diag.per_layer:
-        assert per.small_min_size_ok
-        assert per.large_cosize_ok
-        assert per.flat
-
-
-def test_size_bounds_check_trivial():
-    d = canonical_decomposition(trivial_construction(4))
-    diag = size_bounds_check(d, 4)
-    assert diag.bottom_is_empty and diag.top_is_full
-    assert diag.layer1_single_large
-    assert all(per.flat for per in diag.per_layer)
-    with pytest.raises(ValueError):
-        size_bounds_check(d, 5)
-
-
-def test_size_bounds_check_takes_any_layer_tuple():
-    # three_sperner's layers written out by hand, then layer 1 with a two-atom small
-    bottom, top = Family(1, (Member(0, False),)), Family(1, (Member(1, True),))
-    layers = (bottom, Family(1, (Member(1, False), Member(0, True))), top)
-    assert layers == canonical_decomposition(three_sperner())
-    diag = size_bounds_check(layers, 3)
-    assert diag.bottom_is_empty and diag.top_is_full
-    assert diag.layer1_small_singletons and diag.layer1_single_large
-    bottom, top = Family(2, (Member(0, False),)), Family(2, (Member(0b11, True),))
-    diag = size_bounds_check((bottom, Family(2, (Member(0b11, False), Member(0, True))), top), 3)
-    assert diag.bottom_is_empty and diag.top_is_full
-    assert not diag.layer1_small_singletons
-
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_size_bounds_check_refuses_a_degree_below_one(k):
-    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
-        size_bounds_check((), k)
 
 
 # ------------------------------------------------------- concrete side

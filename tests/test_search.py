@@ -25,10 +25,12 @@ from spernersat import (
     mask_of_atoms,
     search_min,
     serialize_family,
+    seven56,
     three_sperner,
+    trivial_construction,
     verify_saturated_k_sperner,
 )
-from spernersat.family import member_depths, packed_key
+from spernersat.family import H_BIT, member_depths, packed_key
 from spernersat import search as search_mod
 from spernersat.saturation import _verify_layers
 from spernersat.search import (
@@ -69,6 +71,34 @@ def test_canonical_form_separates_non_isomorphic():
     f = Family(2, (Member(0b01, False), Member(0b10, False)))
     g = Family(2, (Member(0b01, False), Member(0b11, False)))
     assert canonical_form(f) != canonical_form(g)
+
+
+# SHA-256 of the serialized canonical forms, in order, of each group of
+# families; a different but self-consistent form passes the two tests above
+# and fails here.
+_CANONICAL_DIGESTS = {
+    "three_sperner": "09aa496678d213c0a78e77228680bc5c0821c7d8f038f45a336c4f77edb7d8b4",
+    "seven56": "b58b3dbf564f27913a0da67b6fa898b0b169c4d421a25dca38f1b1f740898499",
+    "trivial_construction(2..8)": "6a226b19f5c69f78c7ad7202a6662e22ba4a7c7d221712a73683ca2b75e992a0",
+    "random_family x 200": "b55d9c9ff7223bc0886bfbe4dbf9edf5a586ddbe26c96a3f2de0024626fc7afd",
+}
+
+
+def test_canonical_form_is_the_pinned_form():
+    rng = random.Random(2101)
+    groups = {
+        "three_sperner": [three_sperner()],
+        "seven56": [seven56()],
+        "trivial_construction(2..8)": [trivial_construction(k) for k in range(2, 9)],
+        "random_family x 200": [random_family(rng, max_atoms=6) for _ in range(200)],
+    }
+    digests = {}
+    for name, families in groups.items():
+        digest = hashlib.sha256()
+        for f in families:
+            digest.update(serialize_family(canonical_form(f)).encode())
+        digests[name] = digest.hexdigest()
+    assert digests == _CANONICAL_DIGESTS
 
 
 def test_canonical_form_universe_cap():
@@ -442,20 +472,26 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
 
 def test_search_builds_a_family_only_for_a_found_result(monkeypatch):
     built = []
-    monkeypatch.setattr(search_mod, "Family", lambda *args: built.append(args) or Family(*args))
+
+    class Recording:
+        @staticmethod
+        def from_keys(m, keys):
+            built.append((m, list(keys)))
+            return Family.from_keys(m, keys)
+
+    monkeypatch.setattr(search_mod, "Family", Recording)
     found = search_min(SearchBounds(k=4, max_atoms=4, max_size=8))
-    assert found.outcome == FOUND and built == [(found.family.m, found.family.members)]
+    assert found.outcome == FOUND and built == [(found.family.m, list(found.family.keys))]
     built.clear()
     assert search_min(SearchBounds(k=4, max_atoms=3, max_size=7)).outcome == NONE_WITHIN_BOUNDS
     assert built == []
 
 
-def _depths(members):
-    """Carried depths of members appended one by one in canonical order."""
-    keys, depths = [], []
-    for mem in members:
-        depths.append(_carried_depth(packed_key(mem), keys, depths))
-        keys.append(packed_key(mem))
+def _depths(keys):
+    """Carried depths of packed keys appended one by one in canonical order."""
+    depths = []
+    for i, key in enumerate(keys):
+        depths.append(_carried_depth(key, keys[:i], depths))
     return depths
 
 
@@ -477,8 +513,8 @@ def _canonical_members(draw):
 @given(_canonical_members(), st.integers(1, 6))
 def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
     m, forced, members = case
-    depths = _depths(members)
     keys = [packed_key(mem) for mem in members]
+    depths = _depths(keys)
     assert depths == member_depths(keys).tolist()
     if forced:
         # the search sets the forced top's depth without a scan
@@ -487,27 +523,28 @@ def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
     assert _verify_layers(m, keys, depths, k).to_json_dict() == report.to_json_dict()
 
 
-def _accepted_shape(members, k, forcing):
+def _accepted_shape(keys, k, forcing):
     """What every family the search accepts has: largest depth k and, with
     forcing on and k >= 3, the forced layer-1 shape in the depth-2 members
     (singleton smalls, at least k-2 of them, exactly one large)."""
-    depths = member_depths([packed_key(mem) for mem in members]).tolist()
+    depths = member_depths(keys).tolist()
     if max(depths) != k:
         return False
     if forcing and k >= 3:
-        layer1 = [mem for mem, d in zip(members, depths) if d == 2]
-        smalls = [mem for mem in layer1 if not mem.has_H]
-        return (all(mem.atom_count == 1 for mem in smalls) and len(smalls) >= k - 2
+        layer1 = [key for key, d in zip(keys, depths) if d == 2]
+        smalls = [key for key in layer1 if key < H_BIT]
+        return (all(key.bit_count() == 1 for key in smalls) and len(smalls) >= k - 2
                 and len(layer1) - len(smalls) == 1)
     return True
 
 
 @st.composite
 def _partial_states(draw):
-    """(k, forcing, pool, top, chosen, idx, after): members chosen in
-    canonical order from the search's pool on m <= 3 atoms (after the forced
-    bottom), the index of the next candidate, and how many members a leaf
-    holds after it, the forced top aside."""
+    """(k, forcing, pool, top, chosen, idx, after): the packed keys of
+    members chosen in canonical order from the search's (key, atom mask,
+    group) pool on m <= 3 atoms (after the forced bottom), the index of the
+    next candidate, and how many members a leaf holds after it, the forced
+    top aside."""
     m = draw(st.integers(0, 3))
     k = draw(st.integers(1, 6))
     forcing = draw(st.booleans())
@@ -520,9 +557,9 @@ def _partial_states(draw):
 
 
 def _state(m, k, chosen, candidate, after):
-    """A forced partial state as _partial_states draws it."""
+    """A forced partial state as _partial_states draws it, from packed keys."""
     pool, _, bottom, top = search_mod._space(m, True)
-    idx = [mem for mem, _, _ in pool].index(candidate)
+    idx = [key for key, _, _ in pool].index(candidate)
     return k, True, pool, top, bottom + chosen, idx, after
 
 
@@ -530,20 +567,20 @@ def _state(m, k, chosen, candidate, after):
 # one state each: {2,3} after the singleton {1}, and H+{3} after H+{2}.
 @settings(max_examples=300, deadline=None)
 @given(_partial_states())
-@example(_state(3, 3, [Member(0b001, False)], Member(0b110, False), 1))
-@example(_state(3, 3, [Member(0b001, False), Member(0b010, True)], Member(0b100, True), 1))
+@example(_state(3, 3, [0b001], 0b110, 1))
+@example(_state(3, 3, [0b001, H_BIT | 0b010], H_BIT | 0b100, 1))
 def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     """Whenever a candidate-level test fires, no completion below it (for a
     singleton prune, below every later candidate too) has the shape of an
     accepted family, whether or not the search would reach the state."""
     k, forcing, pool, top, chosen, idx, after = state
     depths = _depths(chosen)
-    singletons = sum(not mem.has_H and mem.atom_count == 1 for mem in chosen)
-    large2 = any(mem.has_H and d == 2 for mem, d in zip(chosen, depths))
+    singletons = sum(key < H_BIT and key.bit_count() == 1 for key in chosen)
+    large2 = any(key >= H_BIT and d == 2 for key, d in zip(chosen, depths))
 
     def rejection(j):
-        _, key, kind = pool[j]
-        depth = _carried_depth(key, [packed_key(mem) for mem in chosen], depths)
+        key, _, kind = pool[j]
+        depth = _carried_depth(key, chosen, depths)
         return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
                                     singletons, large2, k, forcing)
 
@@ -553,13 +590,13 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
         return
     if reason == "singleton_prunes":
         assert all(rejection(j) == reason for j in range(idx, len(pool)))
-        completions = combinations([mem for mem, _, _ in pool[idx:]], after + 1)
+        completions = combinations([key for key, _, _ in pool[idx:]], after + 1)
     else:
         completions = ([pool[idx][0], *rest]
-                       for rest in combinations([mem for mem, _, _ in pool[idx + 1:]], after))
+                       for rest in combinations([key for key, _, _ in pool[idx + 1:]], after))
     for completion in completions:
-        members = chosen + list(completion) + top
-        assert not _accepted_shape(members, k, forcing), (reason, members)
+        keys = chosen + list(completion) + top
+        assert not _accepted_shape(keys, k, forcing), (reason, [hex(key) for key in keys])
 
 
 def _relabel(mask, perm):

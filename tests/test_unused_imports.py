@@ -98,3 +98,58 @@ def test_all_names_exactly_what_the_package_imports():
     imported, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert len(set(exported)) == len(exported)
     assert sorted(imported) == sorted(exported)
+
+
+# Public functions that no package module calls or imports, each with why it
+# stays; every other function of __all__ has a caller under src/spernersat.
+UNCALLED_PUBLIC = {
+    "bracket_factor": "the paper's bound criterion: the layer sum beats sqrt(k) 2^(k/2) when it exceeds 1",
+    "canonical_decomposition": "README API: a family's layers as Family objects",
+    "layer_lower_bound": "the paper's per-layer lemma, 2^(2i(k-i-1)/(k-1))",
+    "canonical_form": "isomorphism tests of optima found by other routes, and the reference for a form past 8 atoms",
+    "complement_family": "builds F o F^c, the composition of a family with its complement",
+    "eps_of": "the per-layer lemma check",
+    "expected_hits": "the per-layer lemma check",
+    "is_antichain": "perfbench/tracer.py wraps it by name",
+    "sum_lower_bound": "perfbench/tracer.py wraps it by name",
+}
+
+
+def uncalled_functions(sources: dict[str, str], exported: list[str]) -> list[str]:
+    """The names of exported that some module of sources defines as a
+    top-level function and that no module loads, reads as an attribute or
+    imports outside that function's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    own = {name: {id(inner) for inner in ast.walk(node)} for name, node in defined.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            used.update(name for name in names if id(node) not in own.get(name, ()))
+    return [name for name in exported if name in defined and name not in used]
+
+
+def test_uncalled_functions_sees_a_dead_name():
+    sources = {
+        "a": "def dead(): return dead()\ndef called(): pass\ndef imported(): pass\n"
+             "def read(): pass\ndef user(): return called()\nCONST = 1\n",
+        "b": "import a\nfrom a import imported\nf = a.read\n",
+    }
+    exported = ["dead", "called", "imported", "read", "user", "CONST"]
+    assert uncalled_functions(sources, exported) == ["dead", "user"]
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    _, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(uncalled_functions(sources, exported)) == sorted(UNCALLED_PUBLIC)
