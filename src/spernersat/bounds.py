@@ -30,7 +30,8 @@ million terms of 7..2100); peak + log2(sum) absorbs that at every k in
 7..20,000 and at 4,000,001.  A BoundReport keeps the exponent array
 itself, read as a mapping from layer i = 2 by LayerExponents; a dict of the
 terms is made only where one is read, as the JSON encoder does, so the
-text table never builds one.
+text table never builds one.  A ThresholdScan keeps its margins as one
+array too, read by the same mapping from k = 7.
 
 erf is computed locally to keep the whole chain auditable: a Maclaurin
 series up to |x| = 3 and a continued fraction for the complement beyond,
@@ -56,8 +57,9 @@ EPS_MNS = 1.0 - math.log2(15.0) / 4.0
 
 # Most layer terms (k // 2 per report, one margin per scanned k) one request
 # may hold.  A term costs up to ~350 bytes of peak RSS through `bounds --json`
-# (~40 in text, where it stays in float64 arrays; ~110 per threshold margin),
-# so the largest accepted request stays under about 1 GB.
+# (~40 in text, where it stays in float64 arrays; ~10 per threshold margin,
+# text or JSON, since a scan keeps its margins in one float64 array), so the
+# largest accepted request stays under about 1 GB.
 MAX_LAYER_TERMS = 2_000_000
 
 
@@ -140,22 +142,25 @@ def _layer_bounds_log2(k: int) -> np.ndarray:
 
 
 class LayerExponents(Mapping):
-    """Read-only mapping i -> log2 of layer_lower_bound(i, k), i = 2..(k-1)//2,
-    over the array of _layer_bounds_log2(k).  It reads as the dict of these
-    items would, and == compares it with any mapping by its items."""
+    """Read-only mapping from the consecutive ints first, first + 1, ... to
+    the floats of an array: i -> log2 of layer_lower_bound(i, k) over the
+    array of _layer_bounds_log2(k) from first = 2, and a threshold scan's
+    k -> margin from first = 7.  It reads as the dict of these items would,
+    and == compares it with any mapping by its items."""
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_first")
 
-    def __init__(self, array: np.ndarray):
+    def __init__(self, array: np.ndarray, first: int):
         self._array = array
+        self._first = first
 
     def __getitem__(self, i) -> float:
-        if i not in range(2, len(self._array) + 2):
+        if i not in range(self._first, len(self._array) + self._first):
             raise KeyError(i)
-        return float(self._array[int(i) - 2])
+        return float(self._array[int(i) - self._first])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(2, len(self._array) + 2))
+        return iter(range(self._first, len(self._array) + self._first))
 
     def __len__(self) -> int:
         return len(self._array)
@@ -168,9 +173,13 @@ class LayerExponents(Mapping):
 
 
 class _LayerItems(ItemsView):
-    # the pairs from one tolist(), not a float per lookup
+    # the pairs from one tolist() per block of 2^16 values, not a float per
+    # lookup, nor a list of the 2 million margins of a long threshold scan
     def __iter__(self):
-        return zip(self._mapping, self._mapping._array.tolist())
+        first, array = self._mapping._first, self._mapping._array
+        for start in range(0, len(array), 1 << 16):
+            block = array[start:start + (1 << 16)].tolist()
+            yield from zip(range(first + start, first + start + len(block)), block)
 
 
 def _sum_lower_log2(k: int, layers: np.ndarray) -> float:
@@ -232,7 +241,7 @@ class ThresholdScan(_JsonDocument):
 
     k_max: int
     threshold: int | None
-    margins: dict[int, float]  # erf_lower_bound_log2(k) - (k/2 + log2(k)/2)
+    margins: LayerExponents  # k -> erf_lower_bound_log2(k) - (k/2 + log2(k)/2), k = 7..k_max
 
 
 def find_threshold(k_max: int) -> ThresholdScan:
@@ -241,13 +250,13 @@ def find_threshold(k_max: int) -> ThresholdScan:
     if k_max < 7:
         raise ValueError("k_max must be >= 7")
     _check_terms(k_max - 6, f"threshold scan up to {k_max}")
-    margins = {k: erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k)) for k in range(7, k_max + 1)}
-    threshold = None
-    for k in range(k_max, 6, -1):
-        if margins[k] < 0.0:
-            break
-        threshold = k
-    return ThresholdScan(k_max=k_max, threshold=threshold, margins=margins)
+    margins = np.fromiter((erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k))
+                           for k in range(7, k_max + 1)), dtype=np.float64, count=k_max - 6)
+    # the suffix starts after the last negative margin, at 7 if there is none
+    negative = np.flatnonzero(margins < 0.0)
+    start = 7 + int(negative[-1]) + 1 if negative.size else 7
+    threshold = start if start <= k_max else None
+    return ThresholdScan(k_max=k_max, threshold=threshold, margins=LayerExponents(margins, 7))
 
 
 @dataclass(frozen=True)
@@ -292,7 +301,7 @@ def upper_bound_report(k: int) -> BoundReport:
         erf_log2 = erf_lower_bound_log2(k)
         claimed = k / 2.0 + 0.5 * math.log2(k)
         lower = dict(
-            layer_bounds_log2=LayerExponents(layers),
+            layer_bounds_log2=LayerExponents(layers, 2),
             sum_lower=_linear(sum_log2), sum_lower_log2=sum_log2, erf_lower_log2=erf_log2,
             claimed_lower_log2_166=claimed - 1.66, claimed_lower_log2=claimed,
             margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,

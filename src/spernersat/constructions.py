@@ -28,7 +28,6 @@ from .family import (
     CapacityError,
     Family,
     Member,
-    complement_member,
     first_contained_pair,
     mask_of_atoms,
 )
@@ -69,13 +68,13 @@ def trivial_construction(k: int) -> Family:
 
 def three_sperner() -> Family:
     """Minimum 3-layer system: empty set, one atom, H, and their union."""
-    return Family(1, tuple(_members([(), (1,)], [(), (1,)])))
+    return Family.from_keys(1, [0, 1, H_BIT, H_BIT | 1])
 
 
-def _members(small_atom_sets, large_atom_sets) -> list[Member]:
-    out = [Member(mask_of_atoms(s), False) for s in small_atom_sets]
-    out += [Member(mask_of_atoms(s), True) for s in large_atom_sets]
-    return out
+def _keys(small_atom_sets, large_atom_sets) -> list[int]:
+    """Packed keys of the smalls and larges with these atom sets."""
+    return ([mask_of_atoms(s) for s in small_atom_sets]
+            + [H_BIT | mask_of_atoms(s) for s in large_atom_sets])
 
 
 def seven56() -> Family:
@@ -88,17 +87,14 @@ def seven56() -> Family:
     lines.  Layers 4-6 are the complements of layers 2-0, so the family is
     closed under complement.
     """
-    layer0 = _members([()], [])
-    layer1 = _members([(2,), (3,), (5,), (6,), (7,)], [(1, 4)])
     pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7)]
     spread = [(3, 5, 7), (1, 4, 6), (2, 5, 7), (1, 3, 6), (2, 4, 7), (1, 3, 5), (2, 4, 6)]
-    layer2 = _members(pairs, spread)
     lines = [(1, 2, 6), (2, 3, 7), (1, 3, 4), (2, 4, 5), (3, 5, 6), (4, 6, 7), (1, 5, 7)]
-    line_members = _members(lines, [])
-    layer3 = line_members + [complement_member(mem, 7) for mem in line_members]
-    lower = layer0 + layer1 + layer2
-    upper = [complement_member(mem, 7) for mem in lower]
-    return Family(7, tuple(lower + layer3 + upper))
+    # layers 0, 1 and 2, then the lines of layer 3; the complements of all
+    # of them are the rest of layer 3 and layers 6, 5 and 4
+    lower = _keys([(), (2,), (3,), (5,), (6,), (7,)] + pairs + lines, [(1, 4)] + spread)
+    full = H_BIT | 0x7F
+    return Family.from_keys(7, lower + [key ^ full for key in lower])
 
 
 def compose(*factors: Family) -> Family:
@@ -207,8 +203,9 @@ class ReductionTrace:
         return Family(start.m, tuple(current))
 
 
-def _lowest_atom(member: Member) -> int:
-    return (member.atom_mask & -member.atom_mask).bit_length()
+def _lowest_atom(small: int) -> int:
+    """The lowest atom of a small member's packed key, its atom mask."""
+    return (small & -small).bit_length()
 
 
 def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
@@ -217,25 +214,30 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     Never grows the family, preserves saturation, and leaves an input whose
     smalls already are singletons untouched.  Raises ValueError if the input
     is not a saturated antichain and RuntimeError if any postcondition fails
-    (a defect, not an input error).
+    (a defect, not an input error).  Works on a set of packed keys, read in
+    canonical order through Family.from_keys; only the trace holds Members.
     """
     saturated, _ = is_saturated_antichain(a)
     if not saturated:
         raise ValueError("input antichain is not saturated")
-    working = set(a.members)
+    working = set(a.keys)
     steps: list[TraceStep] = []
 
     def log(action, before=None, after=None, atom=None):
+        before, after = (None if key is None else Member(key & ~H_BIT, key >= H_BIT)
+                         for key in (before, after))
         steps.append(TraceStep(len(steps), action, before, after, atom))
 
-    had_multi_atom_small = any(not mem.has_H and mem.atom_count > 1 for mem in working)
+    def first_multi_atom_small(keys):
+        return next((key for key in keys if key < H_BIT and key.bit_count() > 1), None)
+
+    had_multi_atom_small = first_multi_atom_small(a.keys) is not None
     step_budget = a.m * a.size
     rewrites = 0
     target = None  # the small a containment redirected the rewrite to
     while True:
         if target is None:
-            target = min((mem for mem in working if not mem.has_H and mem.atom_count > 1),
-                         key=Member.key, default=None)
+            target = first_multi_atom_small(Family.from_keys(a.m, working).keys)
             if target is None:
                 break
             log("choose", before=target, atom=_lowest_atom(target))
@@ -243,41 +245,37 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
         if rewrites > step_budget:
             raise RuntimeError("reduction exceeded its iteration bound; this is a defect")
         atom = _lowest_atom(target)
-        bit = 1 << (atom - 1)
-        singleton = Member(bit, False)
-        if target != singleton:
+        bit = 1 << (atom - 1)  # the singleton small of the atom, as a packed key
+        if target != bit:
             working.discard(target)
-            working.add(singleton)
-            log("replace", before=target, after=singleton, atom=atom)
-        for mem in sorted(working, key=Member.key):
-            if mem != singleton and mem.atom_mask & bit:
-                working.remove(mem)
-                stripped = Member(mem.atom_mask & ~bit, mem.has_H)
-                if stripped in working:
-                    log("merge", before=mem, after=stripped, atom=atom)
-                else:
-                    working.add(stripped)
-                    log("strip", before=mem, after=stripped, atom=atom)
+            working.add(bit)
+            log("replace", before=target, after=bit, atom=atom)
+        for key in Family.from_keys(a.m, working).keys:
+            if key != bit and key & bit:
+                working.remove(key)
+                stripped = key & ~bit
+                log("merge" if stripped in working else "strip", before=key, after=stripped, atom=atom)
+                working.add(stripped)
         target = None
-        while (pair := first_contained_pair(sorted(working, key=Member.key))) is not None:
+        while (pair := first_contained_pair(Family.from_keys(a.m, working).keys)) is not None:
             inner, outer = pair
-            if not inner.has_H and not outer.has_H:
+            if outer < H_BIT:
                 working.remove(outer)
                 log("drop_small_superset", before=outer)
-            elif inner.has_H and outer.has_H:
+            elif inner >= H_BIT:
                 working.remove(inner)
                 log("drop_large_subset", before=inner)
             else:
                 target = inner
                 log("reassign", before=inner, atom=_lowest_atom(inner))
                 break
-    result = Family(a.m, tuple(working))
+    result = Family.from_keys(a.m, working)
     if result.size > a.size:
         raise RuntimeError("reduction grew the family; this is a defect")
     ok, _ = is_saturated_antichain(result)
     if not ok:
         raise RuntimeError("reduction lost saturation; this is a defect")
-    if any(mem.atom_count > 1 for mem in result.smalls()):
+    if first_multi_atom_small(result.keys) is not None:
         raise RuntimeError("reduction left a multi-atom small; this is a defect")
     if not had_multi_atom_small and result != a:
         raise RuntimeError("reduction changed an already-reduced input; this is a defect")

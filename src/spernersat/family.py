@@ -9,12 +9,16 @@ representation agree with the concrete ground-set poset for every
 realization of H, which keeps all structural checks independent of the
 ambient ground-set size n.
 
-Canonical member order is (has_H, atom count, atom mask), read as the
-digits of one int (Member.key); proper containment is strictly monotone
-in this key, so sorting doubles as a topological order of the containment
-DAG.  A Family keeps its members as packed keys, the atom mask with H as
-bit MAX_ATOMS, in canonical order; its Member objects are a view built
-when first read.
+A Family keeps its members as packed keys, the atom mask with H as bit
+MAX_ATOMS, in canonical order (has_H, atom count, atom mask).  Proper
+containment is strictly monotone in that order, so it doubles as a
+topological order of the containment DAG.  Every rule runs on the keys: a
+member is inside another when its key is a bit-subset of the other's, and
+its complement is its key XOR H_BIT | (2^m - 1).  Member is only the view
+and the printer: Family.members builds one per key when first read, and
+Member.key is the canonical order as the digits of one int.  The
+serializer, the builders and the verifier make none, the parser only to
+name a repeated member, and the reduction only for the steps of its trace.
 
 The canonical decomposition of a family is plain data: a tuple of layers,
 bottom first, each a Family over the same universe, one per member of the
@@ -61,19 +65,8 @@ class Member:
     def atom_count(self) -> int:
         return self.atom_mask.bit_count()
 
-    def cosize(self, m: int) -> int:
-        """Atoms missing from the member; for a large member this equals
-        n - |S| on every realization of H."""
-        return m - self.atom_count
-
     def atoms(self) -> tuple[int, ...]:
         return atoms_of_mask(self.atom_mask)
-
-    def issubset(self, other: "Member") -> bool:
-        return (self.atom_mask & ~other.atom_mask) == 0 and (other.has_H or not self.has_H)
-
-    def is_proper_subset(self, other: "Member") -> bool:
-        return self != other and self.issubset(other)
 
     def key(self) -> int:
         """The canonical order key: H flag, atom count and atom mask as the
@@ -185,37 +178,27 @@ class Family:
     def larges(self) -> tuple[Member, ...]:
         return tuple(mem for mem in self.members if mem.has_H)
 
-    def without(self, member: Member) -> "Family":
-        if member not in self.members:
-            raise ValueError(f"{member} is not a member")
-        return Family(self.m, tuple(mem for mem in self.members if mem != member))
-
-
-def complement_member(x: Member, m: int) -> Member:
-    """Complement within the ground set: flip every atom and the H flag."""
-    if x.atom_mask >> m:
-        raise ValueError("member uses atoms outside the universe")
-    return Member(((1 << m) - 1) ^ x.atom_mask, not x.has_H)
-
 
 def complement_family(f: Family) -> Family:
+    """Complement within the ground set: every key with each atom and H flipped."""
     full = H_BIT | ((1 << f.m) - 1)
     return Family.from_keys(f.m, [key ^ full for key in f.keys])
 
 
-def first_contained_pair(members) -> tuple[Member, Member] | None:
-    """First (a, b) with a a proper subset of b, scanning a sequence in
-    canonical order, where containment can only point forward."""
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a.is_proper_subset(b):
+def first_contained_pair(keys) -> tuple[int, int] | None:
+    """First (a, b) of distinct packed keys with a a bit-subset of b, so a
+    member properly inside another, scanning keys in canonical order, where
+    containment can only point forward."""
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            if a & ~b == 0:
                 return a, b
     return None
 
 
 def is_antichain(f: Family) -> bool:
     """No member properly contains another."""
-    return first_contained_pair(f.members) is None
+    return first_contained_pair(f.keys) is None
 
 
 def _lattice_keys(keys):

@@ -355,14 +355,15 @@ def eps_of(i: int, k: int) -> float:
 
 def expected_hits(layer: Family, q: float) -> float:
     """Expected number of covering members when each atom is kept with
-    probability q: sum of q^|S| over smalls plus (1-q)^cosize over larges.
-    At least 1 for every saturated antichain and every 0 < q < 1."""
+    probability q: sum of q^|S| over smalls plus (1-q)^(m-|S|) over larges,
+    |S| the atom count.  At least 1 for every saturated antichain and
+    every 0 < q < 1."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must be strictly between 0 and 1")
     total = 0.0
-    for mem in layer.members:
-        if not mem.has_H:
-            total += q ** mem.atom_count
+    for key in layer.keys:
+        if key < H_BIT:
+            total += q ** key.bit_count()
         else:
-            total += (1.0 - q) ** mem.cosize(layer.m)
+            total += (1.0 - q) ** (layer.m + 1 - key.bit_count())  # H is one bit of the key
     return total

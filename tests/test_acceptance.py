@@ -14,6 +14,7 @@ from spernersat import (
     EPS_NEW,
     FOUND,
     NONE_WITHIN_BOUNDS,
+    Family,
     SearchBounds,
     brute_force_saturated,
     canonical_decomposition,
@@ -125,8 +126,9 @@ def test_criterion_5_single_member_removal():
     with criterion(5, "all 56 single-member deletions from seven56 fail verification (56/56)"):
         f = seven56()
         failures = 0
-        for mem in f.members:
-            if not verify_saturated_k_sperner(f.without(mem), 7).verdict:
+        for key in f.keys:
+            smaller = Family.from_keys(f.m, [other for other in f.keys if other != key])
+            if not verify_saturated_k_sperner(smaller, 7).verdict:
                 failures += 1
         assert failures == 56, f"only {failures}/56 deletions break saturation"
 

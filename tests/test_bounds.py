@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spernersat import bounds as bounds_mod
@@ -268,6 +269,13 @@ def test_layer_exponents_read_as_the_dict_of_their_items():
     assert report == upper_bound_report(k) and upper_bound_report(4) == upper_bound_report(4)
     assert report == replace(report, layer_bounds_log2=expected)
     assert report != replace(report, layer_bounds_log2={**expected, 2: 0.0})
+    # a threshold scan's margins, keyed from k = 7: items() reads the array a
+    # block at a time, and past the first block every key meets its own value
+    margins = bounds_mod.LayerExponents(np.arange(200_003, dtype=np.float64), 7)
+    assert list(margins.items()) == [(7 + i, float(i)) for i in range(200_003)]
+    assert list(margins) == list(range(7, 200_010))
+    assert margins[7] == 0.0 and margins[200_009] == 200_002.0
+    assert 6 not in margins and 200_010 not in margins
 
 
 def test_a_report_holds_its_exponents_as_one_array():
@@ -280,6 +288,18 @@ def test_a_report_holds_its_exponents_as_one_array():
         tracemalloc.stop()
     assert len(report.layer_bounds_log2) == 998
     assert held < 16 * 1024, held
+
+
+def test_a_threshold_scan_holds_its_margins_as_one_array():
+    # with its 49,994 margins as a dict, a scan up to 50,000 held about 5.5 MB
+    tracemalloc.start()
+    try:
+        scan = find_threshold(50_000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan.margins) == 49_994 and scan.threshold == 497
+    assert held < 49_994 * 8 + 16 * 1024, held
 
 
 def test_report_switches_to_log_space_when_sum_overflows():

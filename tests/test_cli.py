@@ -412,10 +412,10 @@ def test_crlf_file_verifies_as_its_lf_form(tmp_path, capsys):
 def test_construct_trivial_refuses_beyond_member_cap(monkeypatch, capsys):
     import spernersat.constructions as constructions_mod
 
-    def no_member(*args):
-        raise AssertionError("a member was built past the member cap")
+    def no_compose(*factors):
+        raise AssertionError("compose ran past the member cap")
 
-    monkeypatch.setattr(constructions_mod, "Member", no_member)
+    monkeypatch.setattr(constructions_mod, "compose", no_compose)
     code, out, err = run(capsys, "construct", "--kind", "trivial", "--k", "30")
     assert code == 5
     assert out == ""

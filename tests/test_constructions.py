@@ -391,10 +391,10 @@ def test_trivial_construction_member_cap_is_checked_before_building(monkeypatch)
     class Built(Exception):
         pass
 
-    def no_member(*args):
+    def no_compose(*factors):
         raise Built()
 
-    monkeypatch.setattr(constructions_mod, "Member", no_member)
+    monkeypatch.setattr(constructions_mod, "compose", no_compose)
     with pytest.raises(CapacityError, match=r"^degree 30 needs 536870912 members \(limit 2097152\)$"):
         trivial_construction(30)
     with pytest.raises(CapacityError, match=r"^degree 23 needs 4194304 members \(limit 2097152\)$"):

@@ -18,18 +18,20 @@ from spernersat import (
     Family,
     FamilyFormatError,
     Member,
+    ReductionTrace,
     atoms_of_mask,
     bootstrapped,
     canonical_decomposition,
     compose,
     complement_family,
-    complement_member,
+    expected_hits,
     is_antichain,
     mask_of_atoms,
     member_depths,
     packed_key,
     parse_concrete,
     parse_family,
+    reduce_antichain,
     serialize_family,
     seven56,
     three_sperner,
@@ -90,33 +92,15 @@ def test_family_refuses_a_negative_atom_mask_at_once():
                 Family(3, members)
 
 
-def test_member_subset_rules():
-    small_12 = Member(0b011, False)
-    small_123 = Member(0b111, False)
-    large_12 = Member(0b011, True)
-    assert small_12.issubset(small_123)
-    assert not small_123.issubset(small_12)
-    # the block H only grows a member: small <= large on the same mask
-    assert small_12.issubset(large_12)
-    assert not large_12.issubset(small_12)
-    assert not large_12.issubset(small_123)
-    assert small_12.issubset(small_12)
-    assert not small_12.is_proper_subset(small_12)
-
-
-def test_member_cosize():
-    assert Member(0b011, True).cosize(7) == 5
-    assert Member(0b1111111, True).cosize(7) == 0
-
-
 def test_member_key_monotone_under_containment():
     """The canonical sort key strictly increases along proper containment,
-    making the canonical order a topological order."""
+    a proper bit-subset of packed keys, making the canonical order a
+    topological order."""
     rng = random.Random(7002)
     for _ in range(500):
         a = Member(rng.getrandbits(6), rng.random() < 0.5)
         b = Member(rng.getrandbits(6), rng.random() < 0.5)
-        if a.is_proper_subset(b):
+        if a != b and packed_key(a) & ~packed_key(b) == 0:
             assert a.key() < b.key()
 
 
@@ -147,14 +131,6 @@ def test_family_rejects_duplicates_and_range():
         Family(62, (Member(1 << 62, False), Member(0, True)))
 
 
-def test_family_without():
-    f = Family(2, (Member(0, False), Member(0b11, True)))
-    g = f.without(Member(0, False))
-    assert g.members == (Member(0b11, True),)
-    with pytest.raises(ValueError):
-        f.without(Member(0b1, False))
-
-
 def test_smalls_larges_split():
     f = seven56()
     assert len(f.smalls()) + len(f.larges()) == f.size
@@ -168,21 +144,26 @@ def test_smalls_larges_split():
 
 def test_complement_fixed_example():
     # complement of the small {1,2,4,6} over 7 atoms is {3,5,7} plus H
-    x = Member(mask_of_atoms([1, 2, 4, 6]), False)
-    y = complement_member(x, 7)
-    assert y == Member(mask_of_atoms([3, 5, 7]), True)
-    assert complement_member(y, 7) == x
+    x = Family(7, (Member(mask_of_atoms([1, 2, 4, 6]), False),))
+    y = complement_family(x)
+    assert y.members == (Member(mask_of_atoms([3, 5, 7]), True),)
+    assert complement_family(y) == x
 
 
 def test_complement_is_involution_and_order_reversing():
+    """Complementing twice gives the family back, and a member's
+    complement lies inside the complement of every member inside it."""
     rng = random.Random(7003)
     for _ in range(300):
-        m = rng.randint(0, 6)
-        a = Member(rng.getrandbits(m), rng.random() < 0.5)
-        b = Member(rng.getrandbits(m), rng.random() < 0.5)
-        assert complement_member(complement_member(a, m), m) == a
-        if a.is_proper_subset(b):
-            assert complement_member(b, m).is_proper_subset(complement_member(a, m))
+        f = random_family(rng, max_atoms=6)
+        g = complement_family(f)
+        assert complement_family(g) == f
+        full = H_BIT | ((1 << f.m) - 1)
+        assert sorted(key ^ full for key in f.keys) == sorted(g.keys)
+        for a in f.keys:
+            for b in f.keys:
+                if a != b and a & ~b == 0:
+                    assert (b ^ full) & ~(a ^ full) == 0
 
 
 def test_complement_family_round_trip():
@@ -190,11 +171,6 @@ def test_complement_family_round_trip():
     assert complement_family(complement_family(f)) == f
     # seven56 is complement-closed
     assert complement_family(f) == f
-
-
-def test_complement_rejects_out_of_universe():
-    with pytest.raises(ValueError):
-        complement_member(Member(0b100, False), 2)
 
 
 # ---------------------------------------------------------------- chains
@@ -213,6 +189,12 @@ def test_member_depths_on_explicit_chain():
     assert list(member_depths(list(map(packed_key, members)))) == [1, 2, 3, 4]
 
 
+def _properly_inside(a: Member, b: Member) -> bool:
+    """a is a proper subset of b, from the atom masks and the H flags: the
+    block H only grows a member, so a large is never inside a small."""
+    return a != b and a.atom_mask & ~b.atom_mask == 0 and (b.has_H or not a.has_H)
+
+
 # Masks over a few low atoms and the top ones, so that chains are common and
 # atom 62 (bit 61) sits right below the H bit of the packed keys.
 _BITS = (0, 1, 2, MAX_ATOMS - 2, MAX_ATOMS - 1)
@@ -228,7 +210,7 @@ def test_member_depths_match_longest_chain_definition(members):
 
     @cache
     def longest_ending_at(mem):
-        return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
+        return 1 + max((longest_ending_at(b) for b in f.members if _properly_inside(b, mem)),
                        default=0)
 
     assert member_depths(f.keys).tolist() == [longest_ending_at(mem) for mem in f.members]
@@ -250,7 +232,7 @@ def test_member_depths_on_word_tables_match_longest_chain_definition(members):
 
     @cache
     def longest_ending_at(mem):
-        return 1 + max((longest_ending_at(b) for b in f.members if b.is_proper_subset(mem)),
+        return 1 + max((longest_ending_at(b) for b in f.members if _properly_inside(b, mem)),
                        default=0)
 
     assert member_depths(f.keys).tolist() == [longest_ending_at(mem) for mem in f.members]
@@ -451,10 +433,13 @@ def test_key_constructor_refuses_keys_outside_the_universe_and_twice():
 
 
 def test_parse_verify_and_compose_build_no_member(monkeypatch):
-    """The text, the verifier and compose work on packed keys: Member objects
-    are made only when a family's members are read."""
+    """The text, the verifier, the builders, the reduction and the lemma
+    helpers work on packed keys: Member objects are made only when a
+    family's members are read, or a reduction logs a step."""
     text = serialize_family(bootstrapped(10)[0])
     factors = (seven56(), three_sperner(), three_sperner(), three_sperner())
+    # five singleton smalls and one large: already reduced
+    layer = canonical_decomposition(factors[0])[1]
     built = []
     init = Member.__init__
 
@@ -466,6 +451,11 @@ def test_parse_verify_and_compose_build_no_member(monkeypatch):
     family = parse_family(text)
     assert verify_saturated_k_sperner(family, 10).verdict
     assert compose(*factors) == family
+    assert three_sperner() == factors[1] and seven56() == factors[0]
+    assert bootstrapped(12)[0].size == 2 * 28 ** 2
+    assert reduce_antichain(layer) == (layer, ReductionTrace(()))
+    assert is_antichain(layer)
+    assert expected_hits(layer, 0.5) == 5 * 0.5 + 0.5 ** 5
     assert built == []
     assert len(family.members) == len(built) == 448
 

@@ -199,9 +199,9 @@ def test_verify_report_json_shape():
 def test_single_member_removal_breaks_saturation():
     for name, f, k in [("three", three_sperner(), 3),
                        ("trivial(4)", trivial_construction(4), 4)]:
-        for mem in f.members:
-            report = verify_saturated_k_sperner(f.without(mem), k)
-            assert not report.verdict, f"{name} minus {mem} still verified"
+        for mem, key in zip(f.members, f.keys):
+            smaller = Family.from_keys(f.m, [other for other in f.keys if other != key])
+            assert not verify_saturated_k_sperner(smaller, k).verdict, f"{name} minus {mem} still verified"
 
 
 # ------------------------------------------------------- concrete side

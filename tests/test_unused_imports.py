@@ -153,3 +153,54 @@ def test_every_public_function_has_a_caller_in_the_package():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     _, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(uncalled_functions(sources, exported)) == sorted(UNCALLED_PUBLIC)
+
+
+# Methods and properties of the classes of __all__ that no package module
+# calls or reads, each with why it stays; every other one has a caller
+# under src/spernersat.
+UNCALLED_PUBLIC_METHODS = {
+    "Family.smalls": "the Member view of a family's smalls, one factor of the product law's size",
+    "Family.larges": "the Member view of a family's larges, the other factor of the product law's size",
+    "Member.atom_count": "perfbench/workloads.py reads it in its own reduction checks",
+    "ReductionTrace.replay": "README API: the trace is replayable; perfbench/workloads.py replays every reduction",
+    "CompositionPlan.composed_degree": "the plan's degree read from its factor list, apart from "
+                                       "bootstrapped's arithmetic; the plan tests hold it to k",
+    "CompositionPlan.atoms_needed": "the plan's atom count, apart from bootstrapped's arithmetic; "
+                                    "the plan tests hold it to the built family's m",
+}
+
+
+def uncalled_methods(sources: dict[str, str], exported: list[str]) -> list[str]:
+    """Class.name for each method or property, save dunders, of a class of
+    exported defined at the top level of some module of sources, that no
+    module reads as an attribute outside that method's own body."""
+    trees = [ast.parse(source) for source in sources.values()]
+    methods = [(cls.name, node) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name in exported
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    reads = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    out = []
+    for cls, method in methods:
+        own = {id(inner) for inner in ast.walk(method)}
+        if not any(node.attr == method.name and id(node) not in own for node in reads):
+            out.append(f"{cls}.{method.name}")
+    return out
+
+
+def test_uncalled_methods_sees_a_dead_name():
+    sources = {
+        "a": "class C:\n    def dead(self): return self.dead()\n    def called(self): pass\n"
+             "    @property\n    def read(self): pass\n    def _private(self): pass\n"
+             "    def __str__(self): return ''\n"
+             "class D:\n    def hidden(self): pass\n",
+        "b": "from a import C\nC().called()\nx = C().read\n",
+    }
+    assert uncalled_methods(sources, ["C"]) == ["C.dead", "C._private"]
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    _, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(uncalled_methods(sources, exported)) == sorted(UNCALLED_PUBLIC_METHODS)
