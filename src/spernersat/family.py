@@ -172,12 +172,6 @@ class Family:
     def size(self) -> int:
         return len(self.keys)
 
-    def smalls(self) -> tuple[Member, ...]:
-        return tuple(mem for mem in self.members if not mem.has_H)
-
-    def larges(self) -> tuple[Member, ...]:
-        return tuple(mem for mem in self.members if mem.has_H)
-
 
 def complement_family(f: Family) -> Family:
     """Complement within the ground set: every key with each atom and H flipped."""
@@ -247,12 +241,12 @@ def member_depths(keys) -> np.ndarray:
         while level:
             held = level.to_bytes(width, "little")
             depth = [d + (held[key >> 3] >> (key & 7) & 1) for d, key in zip(depth, keys)]
-            level &= closure(level, bits, upward=True, strict=True)[1]
+            level &= closure(level, bits, upward=True, strict=True)
         return np.array(depth, dtype=np.int64)
     depth = np.zeros(len(keys), dtype=np.int64)
     while (hits := contains(level, keys)).any():
         depth += hits
-        level &= closure(level, bits, upward=True, strict=True)[1]
+        level &= closure(level, bits, upward=True, strict=True)
     return depth
 
 

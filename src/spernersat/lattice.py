@@ -30,14 +30,9 @@ SCAN_MAX_ATOMS = 28
 # depth pass took 2.5-3 times as long.
 INT_BITS = 12
 
-WORD_BITS = 6  # a word holds the 2^6 points that differ in bits 0..5
-
-# _CLEAR[b]: the points of a word whose bit b is clear.
-_CLEAR = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-          0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
-
-# _WEIGHT[c]: the points of a word with exactly c of bits 0..5 set.
-_WEIGHT = tuple(sum(1 << p for p in range(64) if p.bit_count() == c) for c in range(7))
+# a word holds the 2^6 points that differ in bits 0..5; its masks are
+# _int_masks(WORD_BITS), the int form's at 6 bits
+WORD_BITS = 6
 
 
 @cache
@@ -59,19 +54,18 @@ def _int_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def pack(points, m: int):
     """The table over m bits holding exactly the given points."""
-    if m <= WORD_BITS:
-        # an OR per point: at 64 points or fewer it is cheaper than a bytearray,
-        # which the search's leaves, a few points per table, would pay for
+    if m <= INT_BITS:
+        # an OR per point, though each copies the int: on a 12-bit table it
+        # took 27-28 us for 300 points and 86-91 us for 1,000, against 30-38
+        # and 92-114 us set byte by byte in a bytearray, and verifying
+        # seven56, its product with three_sperner, trivial_construction(9)
+        # and (10) and bootstrapped(7, 9, 10, 11) was as fast with it alone
+        # as with the bytearray from 7 bits on (best of 5 x 20 calls, 3
+        # alternated runs on one pinned CPU of a 2-vCPU host)
         table = 0
         for p in points:
             table |= 1 << p
         return table
-    if m <= INT_BITS:
-        # set byte by byte: OR-ing 1 << p per point would copy the whole int each time
-        table = bytearray(((1 << m) + 7) >> 3)
-        for p in points:
-            table[p >> 3] |= 1 << (p & 7)
-        return int.from_bytes(table, "little")
     points = np.asarray(points, dtype=np.int64)
     table = np.zeros(1 << (m - WORD_BITS), dtype=np.uint64)
     np.bitwise_or.at(table, points >> WORD_BITS, np.left_shift(1, (points & 63).astype(np.uint64)))
@@ -86,13 +80,13 @@ def contains(table: np.ndarray, points: np.ndarray) -> np.ndarray:
 def closure(table, m: int, upward: bool, strict: bool = False):
     """The closure of a table over m bits: T is set iff the table holds a
     subset of T (upward) or a superset of T (downward).  With strict, the
-    pair (closure, proper closure), where only proper subsets (supersets)
-    count: proper[T] is the OR of incl[T - b] over the bits b of T
-    (upward), gathered in the same bit loop.  The input is left as it was."""
+    proper closure instead, where only proper subsets (supersets) count:
+    proper[T] is the OR of closure[T - b] over the bits b of T (upward),
+    gathered in the same bit loop.  The input is left as it was."""
     words = not isinstance(table, int)
     table = table.copy() if words else table
     proper = np.zeros_like(table) if words and strict else 0
-    clear = _CLEAR[:m] if words else _int_masks(m)[0]
+    clear = _int_masks(WORD_BITS if words else m)[0]
     for b, half in enumerate(clear):
         if upward:
             moved = table & half
@@ -109,7 +103,7 @@ def closure(table, m: int, upward: bool, strict: bool = False):
         if strict:
             proper.reshape(view.shape)[:, hi] |= view[:, lo]
         view[:, hi] |= view[:, lo]
-    return (table, proper) if strict else table
+    return proper if strict else table
 
 
 def first_hole(table, m: int) -> int | None:
@@ -125,10 +119,11 @@ def first_hole(table, m: int) -> int | None:
     if not index.size:
         return None
     holes = ~table[index]
+    weights = _int_masks(WORD_BITS)[1]
     in_word = np.zeros(index.size, dtype=np.int64)
     for c in range(WORD_BITS, -1, -1):
-        in_word[(holes & _WEIGHT[c]) != 0] = c
+        in_word[(holes & weights[c]) != 0] = c
     # argmin keeps the first of the lightest words, the one with the lowest points
     i = int(np.argmin(np.bitwise_count(index) + in_word))
-    low = int(holes[i]) & _WEIGHT[in_word[i]]
+    low = int(holes[i]) & weights[in_word[i]]
     return (int(index[i]) << WORD_BITS) + (low & -low).bit_length() - 1

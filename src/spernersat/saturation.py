@@ -203,10 +203,6 @@ class ConcreteFamily:
                 raise ValueError("member uses elements outside the ground set")
         object.__setattr__(self, "members", ordered)
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 def instantiate(f: Family, h: int) -> ConcreteFamily:
     """Realize H as elements {m+1 .. m+h}.  Requires h >= 2 and m+h <= 24

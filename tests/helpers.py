@@ -19,6 +19,18 @@ from spernersat import (
     three_sperner,
     trivial_construction,
 )
+from spernersat.family import H_BIT
+
+
+def split_sizes(f: Family) -> tuple[int, int]:
+    """(smalls, larges): the number of f's keys below H_BIT, and above."""
+    small = sum(key < H_BIT for key in f.keys)
+    return small, f.size - small
+
+
+def singleton_smalls(f: Family) -> bool:
+    """Every member of f without H has at most one atom."""
+    return all(key.bit_count() <= 1 for key in f.keys if key < H_BIT)
 
 
 def random_family(rng: random.Random, max_atoms: int = 5, max_members: int = 12) -> Family:

@@ -40,6 +40,8 @@ from helpers import (
     composed_families,
     random_family,
     random_saturated_antichain,
+    singleton_smalls,
+    split_sizes,
 )
 
 
@@ -61,7 +63,7 @@ def test_criterion_1_seven56_verifies():
         elapsed = time.perf_counter() - start
         assert report.verdict
         assert f.size == 56
-        assert len(f.smalls()) == 28 and len(f.larges()) == 28
+        assert split_sizes(f) == (28, 28)
         assert elapsed < 1.0, f"took {elapsed:.3f} s"
 
 
@@ -83,8 +85,8 @@ def test_criterion_3_compose_identities():
         for name1, f1, _ in builtins:
             for name2, f2, _ in builtins:
                 g = compose(f1, f2)
-                expected = (len(f1.smalls()) * len(f2.smalls())
-                            + len(f1.larges()) * len(f2.larges()))
+                (s1, l1), (s2, l2) = split_sizes(f1), split_sizes(f2)
+                expected = s1 * s2 + l1 * l2
                 assert g.size == expected, f"{name1} * {name2}"
         g = compose(seven56(), three_sperner())
         assert g.size == 112 and verify_saturated_k_sperner(g, 8).verdict
@@ -172,8 +174,8 @@ def test_criterion_8_reduction_postconditions():
             assert is_antichain(out), trial
             ok, witness = is_saturated_antichain(out)
             assert ok, (trial, witness)
-            assert all(mem.atom_count <= 1 for mem in out.smalls()), trial
-            if all(mem.atom_count <= 1 for mem in a.smalls()):
+            assert singleton_smalls(out), trial
+            if singleton_smalls(a):
                 assert out == a, trial
             assert trace.replay(a) == out, trial
 

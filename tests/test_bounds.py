@@ -150,6 +150,11 @@ def test_array_evaluation_is_bit_identical_to_the_scalar_loop():
         assert list(report.layer_bounds_log2.items()) == list(layers.items()), k
         assert report.sum_lower_log2 == sum_log2, k
         assert sum_lower_bound(k) == (2.0 ** sum_log2 if sum_log2 < 1020 else math.inf), k
+    # past k = 20,000, where numpy may take its SIMD pow for the terms
+    for k in (20_001, 50_000, 99_999, 100_000, 250_001, 500_000, 1_000_000, 1_000_001):
+        _, sum_log2 = _scalar_layers_and_sum_log2(k)
+        assert upper_bound_report(k).sum_lower_log2 == sum_log2, k
+        assert sum_lower_bound(k) == (2.0 ** sum_log2 if sum_log2 < 1020 else math.inf), k
 
 
 # ------------------------------------------------------ closed-form bound
@@ -159,6 +164,8 @@ def test_bracket_factor_frozen_values():
     assert bracket_factor(497) == pytest.approx(1.0000184905969367, abs=1e-12)
     assert bracket_factor(10 ** 6) == pytest.approx(1.063052274288716, rel=1e-9)
     assert bracket_factor(496) < 1.0 < bracket_factor(497)
+    with pytest.raises(ValueError, match="k must be >= 7"):
+        bracket_factor(6)
 
 
 def test_bracket_factor_increases():
@@ -265,6 +272,7 @@ def test_layer_exponents_read_as_the_dict_of_their_items():
         assert i not in layers
     assert len(layers) == 4 and 2 in layers and 5 in layers and layers[5] == expected[5]
     assert dict(layers) == expected and layers.get(6) is None
+    assert repr(layers) == f"LayerExponents({expected!r})"
     report = upper_bound_report(k)
     assert report == upper_bound_report(k) and upper_bound_report(4) == upper_bound_report(4)
     assert report == replace(report, layer_bounds_log2=expected)

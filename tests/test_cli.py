@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spernersat
-from spernersat import parse_family, seven56, serialize_family, three_sperner
+from spernersat import Family, parse_family, seven56, serialize_family, three_sperner
 from spernersat.cli import main
 
 
@@ -106,6 +106,31 @@ def test_verify_json_schema(tmp_path, capsys):
     assert [layer["size"] for layer in data["layers"]] == [1, 2, 1]
 
 
+_UNSATURATED_TEXT = """\
+family: 55 members over 7 atoms + H
+layers: 7 (expected 7)
+  layer 0: size 1 (1 small, 0 large) saturated=yes
+  layer 1: size 6 (5 small, 1 large) saturated=yes
+  layer 2: size 14 (7 small, 7 large) saturated=no witness=[5 6]
+  layer 3: size 14 (7 small, 7 large) saturated=no witness=[3 5 6]
+  layer 4: size 13 (6 small, 7 large) saturated=no witness=[1 3 5 6]
+  layer 5: size 6 (1 small, 5 large) saturated=yes
+  layer 6: size 1 (0 small, 1 large) saturated=yes
+  reason: LAYER_NOT_SATURATED layer=2 witness=[5 6]
+  reason: LAYER_NOT_SATURATED layer=3 witness=[3 5 6]
+  reason: LAYER_NOT_SATURATED layer=4 witness=[1 3 5 6]
+verdict: False
+"""
+
+
+def test_verify_text_names_each_unsaturated_layer_and_its_witness(tmp_path, capsys):
+    # without one member of its layer 2, seven56 has three unsaturated layers
+    f = seven56()
+    path = tmp_path / "f.txt"
+    path.write_text(serialize_family(Family.from_keys(f.m, f.keys[:10] + f.keys[11:])))
+    assert run(capsys, "verify", "--k", "7", "--in", str(path)) == (1, _UNSATURATED_TEXT, "")
+
+
 # --------------------------------------------------------------- compose
 
 def test_compose_command(tmp_path, capsys):
@@ -152,6 +177,12 @@ def test_bounds_single_k_json(capsys):
     data = json.loads(out)
     assert data["schema_version"] == 1
     assert data["margins"]["erf_vs_497"] > 0.0
+
+
+def test_bounds_single_k_text(capsys):
+    assert run(capsys, "bounds", "--k", "497") == (0, (
+        "k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\tmargin_497\n"
+        "497\t248\t1.51645e+76\t252.979\t476.928\t1.66003\t2.6676e-05\n"), "")
 
 
 def test_bounds_sum_lower_log2_is_the_sequential_sum(capsys):

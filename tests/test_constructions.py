@@ -33,7 +33,13 @@ from spernersat import (
     trivial_construction,
     verify_saturated_k_sperner,
 )
-from helpers import builtin_families, composed_families, random_saturated_antichain
+from helpers import (
+    builtin_families,
+    composed_families,
+    random_saturated_antichain,
+    singleton_smalls,
+    split_sizes,
+)
 
 
 # ----------------------------------------------------------- power set
@@ -105,8 +111,8 @@ def test_seven56_explicit_lower_layers():
     assert layers[0].members == (Member(0, False),)
     for index, (smalls, larges) in SEVEN56_LAYER_ATOMS.items():
         layer = layers[index]
-        assert set(layer.smalls()) == {Member(mask_of_atoms(a), False) for a in smalls}
-        assert set(layer.larges()) == {Member(mask_of_atoms(a), True) for a in larges}
+        assert set(layer.members) == ({Member(mask_of_atoms(a), False) for a in smalls}
+                                      | {Member(mask_of_atoms(a), True) for a in larges})
 
 
 def test_seven56_upper_layers_are_complements():
@@ -127,8 +133,8 @@ def test_compose_size_identity_all_builtin_pairs():
     for name1, f1, _ in builtins:
         for name2, f2, _ in builtins:
             g = compose(f1, f2)
-            expected = (len(f1.smalls()) * len(f2.smalls())
-                        + len(f1.larges()) * len(f2.larges()))
+            (s1, l1), (s2, l2) = split_sizes(f1), split_sizes(f2)
+            expected = s1 * s2 + l1 * l2
             assert g.size == expected, f"{name1} * {name2}"
             assert g.m == f1.m + f2.m
 
@@ -185,9 +191,8 @@ def _families(max_atoms: int = 4, max_members: int = 10):
 def test_compose_size_identity_property(f1, f2):
     g = compose(f1, f2)
     assert g.m == f1.m + f2.m
-    assert len(g.smalls()) == len(f1.smalls()) * len(f2.smalls())
-    assert len(g.larges()) == len(f1.larges()) * len(f2.larges())
-    assert g.size == len(g.smalls()) + len(g.larges())
+    (s1, l1), (s2, l2) = split_sizes(f1), split_sizes(f2)
+    assert split_sizes(g) == (s1 * s2, l1 * l2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,8 +205,8 @@ def test_compose_product_laws_property(a, b, c):
     abc = compose(a, b, c)
     assert abc == compose(compose(a, b), c) == compose(a, compose(b, c))
     assert abc.m == a.m + b.m + c.m
-    assert len(abc.smalls()) == len(a.smalls()) * len(b.smalls()) * len(c.smalls())
-    assert len(abc.larges()) == len(a.larges()) * len(b.larges()) * len(c.larges())
+    (sa, la), (sb, lb), (sc, lc) = map(split_sizes, (a, b, c))
+    assert split_sizes(abc) == (sa * sb * sc, la * lb * lc)
 
 
 # saturated k-Sperner built-ins up to 64 members, so every pair verifies quickly
@@ -226,8 +231,8 @@ def test_compose_with_own_complement_property(entry):
     """F composed with F^c: degree 2k - 2, s*l smalls and s*l larges."""
     _, f, k = entry
     g = compose(f, complement_family(f))
-    product = len(f.smalls()) * len(f.larges())
-    assert (len(g.smalls()), len(g.larges())) == (product, product)
+    small, large = split_sizes(f)
+    assert split_sizes(g) == (small * large, small * large)
     assert verify_saturated_k_sperner(g, 2 * k - 2).verdict
 
 
@@ -452,8 +457,8 @@ def test_reduce_postconditions_random():
         assert is_antichain(out)
         ok, _ = is_saturated_antichain(out)
         assert ok
-        assert all(mem.atom_count <= 1 for mem in out.smalls())
-        if all(mem.atom_count <= 1 for mem in a.smalls()):
+        assert singleton_smalls(out)
+        if singleton_smalls(a):
             assert out == a
 
 
@@ -467,9 +472,9 @@ def test_reduce_postconditions_property(rng):
     assert out.size <= a.size
     assert is_antichain(out)
     assert is_saturated_antichain(out)[0]
-    assert all(mem.atom_count <= 1 for mem in out.smalls())
+    assert singleton_smalls(out)
     assert reduce_antichain(out) == (out, ReductionTrace(()))
-    if all(mem.atom_count <= 1 for mem in a.smalls()):
+    if singleton_smalls(a):
         assert out == a
     assert trace.replay(a) == out
 

@@ -113,6 +113,9 @@ def test_family_canonical_order_is_construction_independent():
     assert f1 == f2
     assert hash(f1) == hash(f2)
     assert [str(mem) for mem in f1.members] == ["empty", "2", "1 2 H"]
+    assert repr(three_sperner()) == (
+        "Family(m=1, members=(Member(atom_mask=0, has_H=False), Member(atom_mask=1, has_H=False), "
+        "Member(atom_mask=0, has_H=True), Member(atom_mask=1, has_H=True)))")
 
 
 def test_family_rejects_duplicates_and_range():
@@ -133,11 +136,8 @@ def test_family_rejects_duplicates_and_range():
 
 def test_smalls_larges_split():
     f = seven56()
-    assert len(f.smalls()) + len(f.larges()) == f.size
-    assert not any(mem.has_H for mem in f.smalls())
-    assert all(mem.has_H for mem in f.larges())
-    # complement closure makes the split even
-    assert len(f.smalls()) == len(f.larges()) == 28
+    # canonical order puts the smalls first; complement closure makes the split even
+    assert [mem.has_H for mem in f.members] == [False] * 28 + [True] * 28
 
 
 # ------------------------------------------------------------- complements

@@ -80,12 +80,12 @@ def _small_layers(draw):
 @settings(max_examples=300, deadline=None)
 @given(_small_layers())
 def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
+    smalls = [mem.atom_mask for mem in layer.members if not mem.has_H]
+    larges = [mem.atom_mask for mem in layer.members if mem.has_H]
+
     def covered(t):
-        return (any(mem.atom_mask & ~t == 0 for mem in layer.smalls())
-                or any(t & ~mem.atom_mask == 0 for mem in layer.larges()))
+        return any(s & ~t == 0 for s in smalls) or any(t & ~l == 0 for l in larges)
     holes = [t for t in range(1 << layer.m) if not covered(t)]
-    smalls = [mem.atom_mask for mem in layer.smalls()]
-    larges = [mem.atom_mask for mem in layer.larges()]
     first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
     assert _first_uncovered(layer.m, smalls, larges) == first
 
@@ -171,6 +171,8 @@ def test_verify_unsaturated_layer_reports_index_and_witness():
 def test_verify_rejects_empty_family_and_accepts_any_k():
     with pytest.raises(ValueError):
         verify_saturated_k_sperner(Family(2, ()), 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        verify_saturated_k_sperner(three_sperner(), 0)
     assert not verify_saturated_k_sperner(three_sperner(), 2).verdict
     assert not verify_saturated_k_sperner(three_sperner(), 4).verdict
 
@@ -231,6 +233,9 @@ def test_concrete_rejects_duplicates_and_range():
         ConcreteFamily(2, (0b01, 0b01))
     with pytest.raises(ValueError):
         ConcreteFamily(2, (0b100,))
+    for n in (63, -1):
+        with pytest.raises(ValueError, match="ground set size"):
+            ConcreteFamily(n, ())
 
 
 def test_find_atoms_examples():
@@ -422,3 +427,5 @@ def test_eps_of_values():
     assert eps_of(3, 7) == 0.0
     assert eps_of(2, 7) == pytest.approx(0.34657359 / 6 * 2, rel=1e-6)
     assert eps_of(2, 7) > 0.0
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        eps_of(0, 1)

@@ -159,8 +159,6 @@ def test_every_public_function_has_a_caller_in_the_package():
 # calls or reads, each with why it stays; every other one has a caller
 # under src/spernersat.
 UNCALLED_PUBLIC_METHODS = {
-    "Family.smalls": "the Member view of a family's smalls, one factor of the product law's size",
-    "Family.larges": "the Member view of a family's larges, the other factor of the product law's size",
     "Member.atom_count": "perfbench/workloads.py reads it in its own reduction checks",
     "ReductionTrace.replay": "README API: the trace is replayable; perfbench/workloads.py replays every reduction",
     "CompositionPlan.composed_degree": "the plan's degree read from its factor list, apart from "
@@ -170,15 +168,20 @@ UNCALLED_PUBLIC_METHODS = {
 }
 
 
+def public_methods(trees, exported: list[str]) -> list[tuple[str, ast.FunctionDef]]:
+    """(class name, def) for each method or property, save dunders, of a
+    class of exported defined at the top level of one of the trees."""
+    return [(cls.name, node) for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name in exported
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def uncalled_methods(sources: dict[str, str], exported: list[str]) -> list[str]:
-    """Class.name for each method or property, save dunders, of a class of
-    exported defined at the top level of some module of sources, that no
-    module reads as an attribute outside that method's own body."""
+    """Class.name for each method or property of public_methods that no
+    module of sources reads as an attribute outside that method's own body."""
     trees = [ast.parse(source) for source in sources.values()]
-    methods = [(cls.name, node) for tree in trees for cls in tree.body
-               if isinstance(cls, ast.ClassDef) and cls.name in exported
-               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    methods = public_methods(trees, exported)
     reads = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     out = []
     for cls, method in methods:
@@ -204,3 +207,40 @@ def test_every_public_method_has_a_caller_in_the_package():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     _, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(uncalled_methods(sources, exported)) == sorted(UNCALLED_PUBLIC_METHODS)
+
+
+# Method and property names that two or more classes of __all__ define, each
+# with why it is shared.  uncalled_methods matches a read by its attribute
+# name alone, so a read of one such name counts for every class that has it,
+# and a dead one hides behind the others.
+SHARED_METHOD_NAMES = {
+    "describe": "TraceStep, ReductionTrace and Reason each print their own line(s); "
+                "ReductionTrace.describe joins its steps', and cli.py prints the other two",
+}
+
+
+def shared_method_names(sources: dict[str, str], exported: list[str]) -> list[str]:
+    """The names of public_methods that two or more classes define, sorted."""
+    methods = public_methods([ast.parse(source) for source in sources.values()], exported)
+    owners: dict[str, set[str]] = {}
+    for cls, method in methods:
+        owners.setdefault(method.name, set()).add(cls)
+    return sorted(name for name, classes in owners.items() if len(classes) > 1)
+
+
+def test_shared_method_names_sees_a_name_two_classes_define():
+    sources = {
+        "a": "class C:\n    @property\n    def size(self): pass\n    def own(self): pass\n"
+             "    def __len__(self): return 0\n",
+        "b": "class D:\n    @property\n    def size(self): pass\n    def __len__(self): return 0\n"
+             "class E:\n    def own(self): pass\n",
+    }
+    assert shared_method_names(sources, ["C", "D"]) == ["size"]
+    assert shared_method_names(sources, ["C", "D", "E"]) == ["own", "size"]
+
+
+def test_every_shared_method_name_is_listed():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    _, exported = imports_and_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert shared_method_names(sources, exported) == sorted(SHARED_METHOD_NAMES)
