@@ -84,16 +84,21 @@ def closure(table, m: int, upward: bool, strict: bool = False):
     proper[T] is the OR of closure[T - b] over the bits b of T (upward),
     gathered in the same bit loop.  The input is left as it was."""
     words = not isinstance(table, int)
-    table = table.copy() if words else table
+    if words:
+        table = table.copy()
+        # the in-word steps write into this one scratch table; a fresh one
+        # per step was made while the last was still bound, one more table
+        # at the peak (verifying bootstrapped(22): 470 MB against 405 MB)
+        moved = np.empty_like(table)
     proper = np.zeros_like(table) if words and strict else 0
     clear = _int_masks(WORD_BITS if words else m)[0]
     for b, half in enumerate(clear):
-        if upward:
-            moved = table & half
-            moved <<= 1 << b
+        if not words:
+            moved = (table & half) << (1 << b) if upward else (table >> (1 << b)) & half
+        elif upward:
+            np.left_shift(np.bitwise_and(table, half, out=moved), 1 << b, out=moved)
         else:
-            moved = table >> (1 << b)
-            moved &= half
+            np.bitwise_and(np.right_shift(table, 1 << b, out=moved), half, out=moved)
         if strict:
             proper |= moved
         table |= moved

@@ -6,7 +6,7 @@ Checking all 2^m subsets is exact: a candidate set meeting only part of H
 compares to smalls and larges exactly as its atom part does.  A system is
 a saturated k-Sperner family precisely when its canonical decomposition
 has exactly k layers and each layer passes this test; the verifier scans
-the atom masks of each depth's members, from depths the search may carry.
+the atom masks of each depth's members.
 Every report that is a JSON document of its own gets to_json_dict from one
 base class.
 
@@ -152,21 +152,14 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         raise ValueError("family is empty")
     if f.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {f.m} is too large for the exhaustive scan")
-    return _verify_layers(f.m, f.keys, member_depths(f.keys).tolist(), k)
-
-
-def _verify_layers(m: int, keys, depths, k: int) -> VerificationReport:
-    """verify_saturated_k_sperner's report, past its input checks, for the
-    packed keys of members over m atoms with their depths: layer i is
-    those of depth i+1."""
-    layers = _depth_layers(keys, depths)
+    layers = _depth_layers(f.keys, member_depths(f.keys).tolist())
     layer_reports = []
     reasons = []
     for index, layer in enumerate(layers):
         smalls = [key for key in layer if key < H_BIT]
         larges = [key ^ H_BIT for key in layer if key >= H_BIT]
         # Members of equal depth cannot properly contain one another: no antichain check.
-        witness = _first_uncovered(m, smalls, larges)
+        witness = _first_uncovered(f.m, smalls, larges)
         layer_reports.append(LayerReport(
             index=index,
             size=len(layer),

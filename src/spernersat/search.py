@@ -19,9 +19,10 @@ the depth-first stack.  Relabelings read one image table per atom
 permutation (the image of every atom mask, m! * 2^m bytes per m); the
 orbit check compares only the relabelings that fix every completed group
 of equal (H flag, atom count), and only on the open group (the argument is
-at _fixing).  The candidate pool (each candidate's packed key, atom mask
-and group) and the tables of each m are built once per call, when the
-search first reaches that m; the search builds no Member.
+at _fixing).  The candidate pool (each candidate's packed key, atom mask,
+group and coverage table) and the image tables of each m are built once
+per call, when the search first reaches that m; the search builds no
+Member.
 
 A complete candidate (a leaf) must have what every accepted family has:
   1. largest depth k, because the verifier's layer count is the largest
@@ -29,14 +30,28 @@ A complete candidate (a leaf) must have what every accepted family has:
   2. with forcing on and k >= 3, the forced layer-1 shape in its depth-2
      members (the verifier's layer 1): singleton smalls, at least k-2 of
      them, exactly one large.
-A leaf that has them goes to _verify_layers with the packed keys and
-depths on the stack, which decides every acceptance as
-verify_saturated_k_sperner would.
+A leaf that has them is decided by _accepted from coverage tables that
+travel with the depth-first stack; the verifier is not called.  A small
+covers the atom subsets that contain its mask, a large those inside its
+mask, and each pool candidate carries that table, the up- or down-closure
+of its atom mask; the forced bottom and top cover every subset.  The stack
+keeps cover[i], the OR of the tables of the chosen members of depth i+1:
+appending a member ORs its table into its depth's entry, and popping it
+puts the old entry back.  The leaf is accepted iff its largest depth, plus
+1 for the forced top, is k and every cover[i] up to the largest depth
+holds every subset; the forced top, whose key holds every other member's,
+is alone in its layer and covers every subset.  This is
+verify_saturated_k_sperner's verdict.  Its layers are the members of
+equal depth, and the carried depths are its depths.  It scans layer i
+through closure(smalls, upward) | closure(larges, downward) and accepts
+iff first_hole finds no hole in any layer.  Closure distributes over
+union, so that table is the OR of the layer's members' own closures,
+which is cover[i].
 
 Roots below the size and atom floors of _floors are never expanded: no
 family there is accepted (the argument is at _floors).  Above them, a
 candidate is turned down before the orbit check when no leaf below it can
-have 1 and 2, so the verifier sees the same leaves in the same order as
+have 1 and 2, so _accepted decides the same leaves in the same order as
 when every leaf of those roots was built and checked for 1 and 2.  As a
 chosen member's depth is final, with forcing on and k >= 3 (the empty set
 alone at depth 1, so every singleton small sits at depth 2):
@@ -76,7 +91,8 @@ import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
 from .family import H_BIT, CapacityError, Family, member_depths  # noqa: F401
-from .saturation import _verify_layers, verify_saturated_k_sperner
+from .lattice import closure, pack
+from .saturation import verify_saturated_k_sperner
 
 FOUND = "FOUND"
 NONE_WITHIN_BOUNDS = "NONE_WITHIN_BOUNDS"
@@ -238,14 +254,25 @@ class _Budget(Exception):
 
 def _space(m: int, force: bool):
     """(pool, tables, bottom, top) on m atoms: the candidates in canonical
-    order as (packed key, atom mask, group (H flag, atom count)), the image
-    tables without the identity (which never sorts lower), and the packed
-    keys of the forced bottom and top."""
+    order as (packed key, atom mask, group (H flag, atom count), cover),
+    cover being the table of the atom subsets the candidate covers in its
+    layer; the image tables without the identity (which never sorts lower),
+    and the packed keys of the forced bottom and top."""
     forced = [0, H_BIT | (1 << m) - 1] if force else []
     ordered = sorted(((has_h, mask.bit_count()), mask)
                      for has_h in (False, True) for mask in range(1 << m))
-    pool = [(key, mask, kind) for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
+    pool = [(key, mask, kind, closure(pack([mask], m), m, upward=not kind[0]))
+            for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
     return pool, _image_tables(m)[1:], forced[:1], forced[1:]
+
+
+def _accepted(m: int, leaf: list[int], covers: list[int], k: int) -> list[int] | None:
+    """leaf, the packed keys of a complete candidate over m atoms, if
+    verify_saturated_k_sperner accepts it for k, else None.  covers holds
+    the table of what each of its depth layers covers, in depth order; the
+    verdict reads them alone (the argument is in the module docstring)."""
+    full = (1 << (1 << m)) - 1
+    return leaf if covers.count(full) == len(covers) == k else None
 
 
 def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
@@ -263,27 +290,25 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     spaces = {}  # m -> _space(m, force)
 
     def dfs(start, live, group, group_kind, singletons, large2):
-        # Extends keys and depths (every member but the forced top) from
-        # pool[start:]; live, group and group_kind are the orbit check's
-        # state, singletons and large2 _candidate_rejection's.  Returns the
-        # keys of the first verified leaf, or None.
+        # Extends keys, depths and cover (every member but the forced top)
+        # from pool[start:]; live, group and group_kind are the orbit
+        # check's state, singletons and large2 _candidate_rejection's.
+        # Returns the keys of the first accepted leaf, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
+        height = max(depths, default=0)
         if len(keys) == need:
             if shaped and not large2:
                 tally["shape_prunes"] += 1
                 return None
             tally["leaves_verified"] += 1
-            leaf = keys + top
-            report = _verify_layers(m, leaf, depths + [1 + max(depths)] * len(top), k)
-            return leaf if report.verdict else None
+            return _accepted(m, keys + top, cover[:height] + [full] * len(top), k)
         closed = None  # live restricted to the tables that fix group, once asked for
-        height = max(depths, default=0)
         after = need - len(keys) - 1  # members still to append after a candidate
         for idx in range(start, len(pool) + len(keys) - need + 1):
-            key, mask, kind = pool[idx]
+            key, mask, kind, covered = pool[idx]
             tally["candidates"] += 1
             depth = _carried_depth(key, keys, depths)
             reason = _candidate_rejection(kind, depth, max(height, depth) + after,
@@ -304,10 +329,13 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 continue
             keys.append(key)
             depths.append(depth)
+            held = cover[depth - 1]
+            cover[depth - 1] = held | covered
             found = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
                         large2 or (kind[0] and depth == 2))
             keys.pop()
             depths.pop()
+            cover[depth - 1] = held
             if found is not None:
                 return found
         return None
@@ -323,7 +351,10 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                     spaces[m] = _space(m, force)
                 pool, tables, bottom, top = spaces[m]
                 need = size - len(top)
+                full = (1 << (1 << m)) - 1  # every atom subset, what the forced bottom and top cover
                 keys, depths = list(bottom), [1] * len(bottom)
+                # cover[i]: the subsets covered by the chosen members of depth i+1
+                cover = [full] * len(bottom) + [0] * need
                 found = dfs(0, tables, [], None, 0, False)
                 if found is not None:
                     family = Family.from_keys(m, found)

@@ -319,6 +319,16 @@ def test_search_stats_on_an_exhausted_budget(capsys):
         "layer1_prunes: 0\n"))
 
 
+def test_search_stats_on_an_exhausted_box(capsys):
+    """A box whose 3,559 leaves are all decided and none accepted."""
+    assert run(capsys, "search", "--k", "5", "--max-atoms", "4", "--max-size", "10", "--stats") == (1, (
+        "outcome: NONE_WITHIN_BOUNDS (nodes expanded: 13247)\n"
+        "exhaustive for k=5, atoms<=4, size<=10, structural forcing on\n"), (
+        "candidates: 18847\nchain_prunes: 1685\norbit_prunes: 2404\n"
+        "shape_prunes: 6386\nleaves_verified: 3559\nsingleton_prunes: 6\nreach_prunes: 1507\n"
+        "layer1_prunes: 0\n"))
+
+
 # ----------------------------------------------------------------- atoms
 
 def test_atoms_command(tmp_path, capsys):

@@ -6,7 +6,6 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -32,10 +31,11 @@ from spernersat import (
 )
 from spernersat.family import H_BIT, member_depths, packed_key
 from spernersat import search as search_mod
-from spernersat.saturation import _verify_layers
+from spernersat.lattice import closure, pack
 from spernersat.search import (
     SearchCounts,
     SearchResult,
+    _accepted,
     _candidate_rejection,
     _carried_depth,
     _fixing,
@@ -291,12 +291,12 @@ def test_the_search_reaches_one_leaf_per_orbit(monkeypatch):
     of every cell (m, size), zero counts included."""
     leaves = Counter()
 
-    def record(m, keys, depths, k):
+    def record(m, keys, covers, k):
         leaves[m, len(keys)] += 1
-        return SimpleNamespace(verdict=False)
+        return None
 
     monkeypatch.setattr(search_mod, "_candidate_rejection", lambda *args: None)
-    monkeypatch.setattr(search_mod, "_verify_layers", record)
+    monkeypatch.setattr(search_mod, "_accepted", record)
     for max_atoms, max_size in ((5, 5), (6, 3)):
         leaves.clear()
         result = search_min(SearchBounds(k=1, max_atoms=max_atoms, max_size=max_size), forcing=False)
@@ -408,20 +408,21 @@ def _floors(k, forcing):
 def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
     """Every family the pinned boxes send to the verifier, in order, minus
     those below the floors: a pruning rule may drop a leaf only where no
-    family can be accepted.  Leaves go to _verify_layers with their carried
-    depths, and a FOUND family to verify_saturated_k_sperner once more."""
+    family can be accepted.  Leaves go to _accepted with their carried
+    coverage tables, and a FOUND family to verify_saturated_k_sperner once
+    more."""
     sent = []
 
     def recording(family, k):
         sent.append((family, k))
         return verify_saturated_k_sperner(family, k)
 
-    def recording_leaf(m, keys, depths, k):
+    def recording_leaf(m, keys, covers, k):
         sent.append((Family.from_keys(m, keys), k))
-        return _verify_layers(m, keys, depths, k)
+        return _accepted(m, keys, covers, k)
 
     monkeypatch.setattr(search_mod, "verify_saturated_k_sperner", recording)
-    monkeypatch.setattr(search_mod, "_verify_layers", recording_leaf)
+    monkeypatch.setattr(search_mod, "_accepted", recording_leaf)
     digest = hashlib.sha256()
     kept = 0
     for k, max_atoms, max_size, forcing in _PINNED_COUNTS:
@@ -454,8 +455,8 @@ def _candidate_prunes(c):
 
 def test_search_counts_account_for_every_candidate(monkeypatch):
     verified = []
-    monkeypatch.setattr(search_mod, "_verify_layers",
-                        lambda *args: verified.append(args) or _verify_layers(*args))
+    monkeypatch.setattr(search_mod, "_accepted",
+                        lambda *args: verified.append(args) or _accepted(*args))
     bounds = SearchBounds(k=4, max_atoms=4, max_size=8)
     result = search_min(bounds)
     assert result.nodes == 682
@@ -509,18 +510,70 @@ def _canonical_members(draw):
     return m, forced, sorted(chosen | ends if forced else chosen, key=Member.key)
 
 
+def _layer_covers(m, keys):
+    """What each depth layer of the packed keys covers, as the verifier
+    scans it: the up-closure of its smalls' masks OR the down-closure of
+    its larges'."""
+    depths = member_depths(keys).tolist()
+    layers = [[key for key, d in zip(keys, depths) if d == i] for i in range(1, max(depths) + 1)]
+    return [closure(pack([key for key in layer if key < H_BIT], m), m, upward=True)
+            | closure(pack([key ^ H_BIT for key in layer if key >= H_BIT], m), m, upward=False)
+            for layer in layers]
+
+
+def _carried_covers(m, forced, keys, depths):
+    """The tables the search hands _accepted for a leaf of these keys: each
+    member but the forced top ORs its pool entry's table into its depth's,
+    and the forced top adds a layer of its own; the forced pair covers
+    every subset."""
+    full = (1 << (1 << m)) - 1
+    tables = {key: covered for key, _, _, covered in search_mod._space(m, forced)[0]}
+    carried = len(keys) - forced
+    cover = [0] * max(depths[:carried])
+    for key, d in zip(keys[:carried], depths):
+        cover[d - 1] |= tables.get(key, full)  # the forced bottom is not in the pool
+    return cover + [full] * forced
+
+
 @settings(max_examples=300, deadline=None)
 @given(_canonical_members(), st.integers(1, 6))
 def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
+    """The depths and coverage tables the search carries to a leaf are the
+    verifier's, and _accepted's verdict on them is verify_saturated_k_sperner's."""
     m, forced, members = case
     keys = [packed_key(mem) for mem in members]
     depths = _depths(keys)
     assert depths == member_depths(keys).tolist()
     if forced:
-        # the search sets the forced top's depth without a scan
+        # the search gives the forced top a layer of its own without a scan
         assert depths[-1] == 1 + max(depths[:-1])
-    report = verify_saturated_k_sperner(Family(m, tuple(members)), k)
-    assert _verify_layers(m, keys, depths, k).to_json_dict() == report.to_json_dict()
+    covers = _carried_covers(m, forced, keys, depths)
+    assert covers == _layer_covers(m, keys)
+    verdict = verify_saturated_k_sperner(Family(m, tuple(members)), k).verdict
+    assert (_accepted(m, keys, covers, k) is not None) == verdict
+
+
+def test_every_leaf_gets_its_layer_covers_and_the_verifier_verdict(monkeypatch):
+    """At every leaf of the pinned boxes and the free box, the tables the
+    depth-first search hands _accepted are the leaf's layer tables, so
+    what a popped member covered never stays behind, and the verdict is
+    verify_saturated_k_sperner's."""
+    leaves = 0
+
+    def checking(m, keys, covers, k):
+        nonlocal leaves
+        leaves += 1
+        assert covers == _layer_covers(m, keys), (m, keys)
+        accepted = _accepted(m, keys, covers, k)
+        assert (accepted is not None) == verify_saturated_k_sperner(Family.from_keys(m, keys), k).verdict
+        return accepted
+
+    monkeypatch.setattr(search_mod, "_accepted", checking)
+    verified = 0
+    for k, max_atoms, max_size, forcing in [*_PINNED_COUNTS, (4, 3, 8, False)]:
+        result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
+        verified += result.counts.leaves_verified
+    assert leaves == verified == 284 + 183 + 1 + 1 + 1521
 
 
 def _accepted_shape(keys, k, forcing):
@@ -559,7 +612,7 @@ def _partial_states(draw):
 def _state(m, k, chosen, candidate, after):
     """A forced partial state as _partial_states draws it, from packed keys."""
     pool, _, bottom, top = search_mod._space(m, True)
-    idx = [key for key, _, _ in pool].index(candidate)
+    idx = [key for key, *_ in pool].index(candidate)
     return k, True, pool, top, bottom + chosen, idx, after
 
 
@@ -579,7 +632,7 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     large2 = any(key >= H_BIT and d == 2 for key, d in zip(chosen, depths))
 
     def rejection(j):
-        key, _, kind = pool[j]
+        key, _, kind, _ = pool[j]
         depth = _carried_depth(key, chosen, depths)
         return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
                                     singletons, large2, k, forcing)
@@ -590,10 +643,10 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
         return
     if reason == "singleton_prunes":
         assert all(rejection(j) == reason for j in range(idx, len(pool)))
-        completions = combinations([key for key, _, _ in pool[idx:]], after + 1)
+        completions = combinations([key for key, *_ in pool[idx:]], after + 1)
     else:
         completions = ([pool[idx][0], *rest]
-                       for rest in combinations([key for key, _, _ in pool[idx + 1:]], after))
+                       for rest in combinations([key for key, *_ in pool[idx + 1:]], after))
     for completion in completions:
         keys = chosen + list(completion) + top
         assert not _accepted_shape(keys, k, forcing), (reason, [hex(key) for key in keys])
