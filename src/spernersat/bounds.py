@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import CapacityError
+from .family import CapacityError, _written
 from .saturation import _JsonDocument
 
 LN2 = math.log(2.0)
@@ -65,7 +65,7 @@ MAX_LAYER_TERMS = 2_000_000
 
 def _check_terms(terms: int, what: str) -> None:
     if terms > MAX_LAYER_TERMS:
-        raise CapacityError(f"{what} needs {terms} layer terms (limit {MAX_LAYER_TERMS})")
+        raise CapacityError(f"{what} needs {_written(terms)} layer terms (limit {MAX_LAYER_TERMS})")
 
 
 def _erf_series(x: float) -> float:

@@ -28,6 +28,7 @@ from .family import (
     CapacityError,
     Family,
     Member,
+    _written,
     first_contained_pair,
     mask_of_atoms,
 )
@@ -35,12 +36,6 @@ from .saturation import is_saturated_antichain
 
 # compose() and bootstrapped() refuse, before building, to make more members than this.
 MAX_MEMBERS = 1 << 21
-
-
-def _written(n: int) -> str:
-    """n in decimal up to 256 bits, else its bit length: writing a number of
-    more than 4,300 digits in decimal is itself refused by Python."""
-    return str(n) if n.bit_length() <= 256 else f"<{n.bit_length()}-bit number>"
 
 
 def _check_capacity(k: int, atoms: int, size: Callable[[], int], detail: str = "") -> None:
@@ -136,15 +131,6 @@ class CompositionPlan:
     @property
     def predicted_size(self) -> int:
         return 2 ** (self.s + 1) * 28 ** self.j
-
-    @property
-    def composed_degree(self) -> int:
-        degrees = {"seven56": 7, "three": 3}
-        return sum(degrees[f] for f in self.factors) - 2 * (len(self.factors) - 1)
-
-    @property
-    def atoms_needed(self) -> int:
-        return 7 * self.j + self.s
 
 
 def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:

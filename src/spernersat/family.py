@@ -54,6 +54,13 @@ class CapacityError(ValueError):
     raised before any of that work starts."""
 
 
+def _written(n: int) -> str:
+    """n in decimal up to 256 bits, else its bit length, for a CapacityError
+    message: writing a number of more than 4,300 digits in decimal is itself
+    refused by Python."""
+    return str(n) if n.bit_length() <= 256 else f"<{n.bit_length()}-bit number>"
+
+
 @dataclass(frozen=True, slots=True)
 class Member:
     """One set: the atoms it contains, and whether it contains the block H."""

@@ -35,6 +35,7 @@ from .family import (
     Member,
     _depth_layers,
     _parse_members,
+    _written,
     atoms_of_mask,
     member_depths,
 )
@@ -204,7 +205,8 @@ def instantiate(f: Family, h: int) -> ConcreteFamily:
         raise ValueError("H must contain at least 2 elements")
     n = f.m + h
     if n > ORACLE_MAX_GROUND:
-        raise CapacityError(f"ground set of size {n} exceeds the oracle limit {ORACLE_MAX_GROUND}")
+        raise CapacityError(f"ground set of size {_written(n)} exceeds the oracle limit "
+                            f"{ORACLE_MAX_GROUND}")
     h_mask = ((1 << h) - 1) << f.m
     return ConcreteFamily(n, tuple(key if key < H_BIT else key ^ H_BIT | h_mask for key in f.keys))
 
@@ -323,7 +325,9 @@ def brute_force_saturated(c: ConcreteFamily, k: int) -> bool:
     halves = _oracle_halves(c.n)
     members = _oracle_member_table(c.members, c.n)
     points = 1 << c.n
-    below = list(islice(_oracle_peel(members, halves, True), k))
+    # a chain in P([n]) has at most n+1 sets, so the peel yields at most n+1
+    # tables, and asking for n+2 of them answers every larger k alike
+    below = list(islice(_oracle_peel(members, halves, True), min(k, c.n + 2)))
     if below and members & below[-1]:
         return False  # the peel stops early only on an empty level: this is level k+1
     if len(below) < k:

@@ -12,17 +12,27 @@ the space to where a minimum must live; disable it to sweep the raw space
 at tiny bounds.
 
 Canonical order is a linear extension of containment, so appending never
-changes the depth (longest chain from below) of a member already chosen:
-each candidate's depth is 1 + the largest depth among the chosen members
-whose packed key is a bit-subset of its own, and the depths travel with
-the depth-first stack.  Relabelings read one image table per atom
+changes the depth (longest chain from below) of a member already chosen,
+and a candidate's depth is 1 + the largest depth among the chosen members
+inside it.  The depths travel with the depth-first stack as tables on the
+(m+1)-bit lattice of points, a point being an atom mask with H as bit m:
+above[i] is the up-closure of the chosen members of depth i+1, the points
+that contain one of them (every point, for the forced bottom).  Each pool
+candidate carries the up-closure of its own point; appending a member ORs
+it into its depth's entry, and popping it puts the old entry back.  The
+tables nest: a point in above[i], i >= 1, contains a chosen member of
+depth i+1, which contains one of depth i, so the point is in above[i-1]
+too.  So the tables holding a candidate's point are above[0] up to
+above[d-1], d the largest depth among the chosen members inside it, and
+its depth is 1 + their number.  The largest depth of the chosen members
+travels as a parameter.  Relabelings read one image table per atom
 permutation (the image of every atom mask, m! * 2^m bytes per m); the
 orbit check compares only the relabelings that fix every completed group
 of equal (H flag, atom count), and only on the open group (the argument is
 at _fixing).  The candidate pool (each candidate's packed key, atom mask,
-group and coverage table) and the image tables of each m are built once
-per call, when the search first reaches that m; the search builds no
-Member.
+group, coverage table and up-closure) and the image tables of each m are
+built once per call, when the search first reaches that m; the search
+builds no Member.
 
 A complete candidate (a leaf) must have what every accepted family has:
   1. largest depth k, because the verifier's layer count is the largest
@@ -198,12 +208,6 @@ def _least_in_group(live, group: list[int]) -> bool:
     return all(sorted([table[x] for x in group]) >= group for table in live)
 
 
-def _carried_depth(key: int, keys: list[int], depths: list[int]) -> int:
-    """Depth of a member appended after the chosen ones in canonical order:
-    1 + the largest depth among those whose packed key is inside its key."""
-    return 1 + max((d for other, d in zip(keys, depths) if other & ~key == 0), default=0)
-
-
 def _floors(k: int, force: bool) -> tuple[int, int]:
     """(size, atoms): the fewest members and atoms an accepted family has.
 
@@ -254,14 +258,16 @@ class _Budget(Exception):
 
 def _space(m: int, force: bool):
     """(pool, tables, bottom, top) on m atoms: the candidates in canonical
-    order as (packed key, atom mask, group (H flag, atom count), cover),
+    order as (packed key, atom mask, group (H flag, atom count), cover, up),
     cover being the table of the atom subsets the candidate covers in its
-    layer; the image tables without the identity (which never sorts lower),
-    and the packed keys of the forced bottom and top."""
+    layer and up the up-closure of its point on the (m+1)-bit lattice with
+    H as bit m; the image tables without the identity (which never sorts
+    lower), and the packed keys of the forced bottom and top."""
     forced = [0, H_BIT | (1 << m) - 1] if force else []
     ordered = sorted(((has_h, mask.bit_count()), mask)
                      for has_h in (False, True) for mask in range(1 << m))
-    pool = [(key, mask, kind, closure(pack([mask], m), m, upward=not kind[0]))
+    pool = [(key, mask, kind, closure(pack([mask], m), m, upward=not kind[0]),
+             closure(pack([mask | kind[0] << m], m + 1), m + 1, upward=True))
             for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
     return pool, _image_tables(m)[1:], forced[:1], forced[1:]
 
@@ -289,16 +295,16 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
     spaces = {}  # m -> _space(m, force)
 
-    def dfs(start, live, group, group_kind, singletons, large2):
-        # Extends keys, depths and cover (every member but the forced top)
+    def dfs(start, live, group, group_kind, singletons, large2, height):
+        # Extends keys, cover and above (every member but the forced top)
         # from pool[start:]; live, group and group_kind are the orbit
-        # check's state, singletons and large2 _candidate_rejection's.
+        # check's state, singletons and large2 _candidate_rejection's, and
+        # height is the chosen members' largest depth.
         # Returns the keys of the first accepted leaf, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
-        height = max(depths, default=0)
         if len(keys) == need:
             if shaped and not large2:
                 tally["shape_prunes"] += 1
@@ -308,9 +314,11 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
         closed = None  # live restricted to the tables that fix group, once asked for
         after = need - len(keys) - 1  # members still to append after a candidate
         for idx in range(start, len(pool) + len(keys) - need + 1):
-            key, mask, kind, covered = pool[idx]
+            key, mask, kind, covered, up = pool[idx]
             tally["candidates"] += 1
-            depth = _carried_depth(key, keys, depths)
+            point, depth = mask | kind[0] << m, 1
+            while above[depth - 1] >> point & 1:  # above[height] is empty
+                depth += 1
             reason = _candidate_rejection(kind, depth, max(height, depth) + after,
                                           singletons, large2, k, forcing)
             if reason is not None:
@@ -328,14 +336,12 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 tally["orbit_prunes"] += 1
                 continue
             keys.append(key)
-            depths.append(depth)
-            held = cover[depth - 1]
-            cover[depth - 1] = held | covered
+            held, held_above = cover[depth - 1], above[depth - 1]
+            cover[depth - 1], above[depth - 1] = held | covered, held_above | up
             found = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
-                        large2 or (kind[0] and depth == 2))
+                        large2 or (kind[0] and depth == 2), max(height, depth))
             keys.pop()
-            depths.pop()
-            cover[depth - 1] = held
+            cover[depth - 1], above[depth - 1] = held, held_above
             if found is not None:
                 return found
         return None
@@ -352,10 +358,12 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 pool, tables, bottom, top = spaces[m]
                 need = size - len(top)
                 full = (1 << (1 << m)) - 1  # every atom subset, what the forced bottom and top cover
-                keys, depths = list(bottom), [1] * len(bottom)
-                # cover[i]: the subsets covered by the chosen members of depth i+1
+                keys = list(bottom)
+                # cover[i]: the subsets covered by the chosen members of depth i+1;
+                # above[i]: the points that contain one of them
                 cover = [full] * len(bottom) + [0] * need
-                found = dfs(0, tables, [], None, 0, False)
+                above = [(1 << (2 << m)) - 1] * len(bottom) + [0] * need
+                found = dfs(0, tables, [], None, 0, False, len(bottom))
                 if found is not None:
                     family = Family.from_keys(m, found)
                     if not verify_saturated_k_sperner(family, k).verdict:

@@ -354,6 +354,11 @@ def test_oracle_command_agrees_with_verify(tmp_path, capsys):
     for h in ("2", "3", "4"):
         assert run(capsys, "oracle", "--in", str(path), "--h", h, "--k", "3")[0] == 0
         assert run(capsys, "oracle", "--in", str(path), "--h", h, "--k", "4")[0] == 1
+    # a degree past sys.maxsize is a false verdict for both, not a usage error
+    for k in (str(2**63), str(10**20)):
+        assert run(capsys, "verify", "--in", str(path), "--k", k)[0] == 1
+        code, out, err = run(capsys, "oracle", "--in", str(path), "--h", "2", "--k", k)
+        assert (code, out, err) == (1, f"saturated {k}-Sperner on 3 concrete elements: False\n", "")
 
 
 # ---------------------------------------------------- unwritable output
@@ -497,6 +502,11 @@ def test_capacity_refusals_exit_5(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert err == "capacity error: ground set of size 27 exceeds the oracle limit 24\n"
+    h = int("9" * 4300)  # the most digits Python reads as an int; 7 + h has one more
+    code, out, err = run(capsys, "oracle", "--in", str(path), "--h", str(h), "--k", "7")
+    assert (code, out) == (5, "")
+    assert err == (f"capacity error: ground set of size <{(7 + h).bit_length()}-bit number> "
+                   "exceeds the oracle limit 24\n")
     # an H block of one element is a usage error, not a capacity limit
     assert run(capsys, "oracle", "--in", str(path), "--h", "1", "--k", "7")[0] == 2
 
@@ -517,6 +527,14 @@ def test_compose_and_bounds_beyond_their_limits_exit_5(tmp_path, capsys):
         assert code == 5
         assert out == ""
         assert err == f"capacity error: {need} layer terms (limit 2000000)\n"
+
+    # counts too long to write in decimal are written by their bit length
+    hi = int("9" * 3000)
+    terms = (hi // 2) * ((hi + 1) // 2) - 3 * 3
+    code, out, err = run(capsys, "bounds", "--table", f"7..{hi}")
+    assert (code, out) == (5, "")
+    assert err == (f"capacity error: table 7..{hi} needs <{terms.bit_length()}-bit number> "
+                   f"layer terms (limit 2000000)\n")
 
     # the search's orbit check covers at most 8 atoms: a usage error, not a capacity limit
     code, _, err = run(capsys, "search", "--k", "4", "--max-atoms", "9", "--max-size", "8")

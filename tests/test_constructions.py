@@ -253,12 +253,22 @@ def test_bootstrapped_matches_powerset_below_seven():
         assert plan.predicted_size == 2 ** (k - 1)
 
 
+# degree and atom count of each factor a composition plan names
+_FACTORS = {"seven56": (7, 7), "three": (3, 1)}
+
+
+def _plan_degree(plan):
+    """The degree of the product of plan's factors: n factors of degrees
+    k1..kn compose to k1 + ... + kn - 2(n - 1)."""
+    return sum(_FACTORS[name][0] for name in plan.factors) - 2 * (len(plan.factors) - 1)
+
+
 def test_bootstrapped_materialized_sizes():
     for k in range(7, 18):
         fam, plan = bootstrapped(k)
         assert fam is not None
-        assert plan.composed_degree == k
-        assert fam.m == plan.atoms_needed
+        assert _plan_degree(plan) == k
+        assert fam.m == sum(_FACTORS[name][1] for name in plan.factors)
         assert fam.size == plan.predicted_size == 2 ** (plan.s + 1) * 28 ** plan.j
 
 
@@ -313,7 +323,7 @@ def test_bootstrapped_size_identity_arithmetic():
             larges *= fl
         total = smalls + larges
         assert total == plan.predicted_size == 2 ** (s + 1) * 28 ** j
-        assert plan.composed_degree == k
+        assert _plan_degree(plan) == k
         assert math.log2(total) <= (1.0 - EPS_NEW) * k + 1e-9
 
 

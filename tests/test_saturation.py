@@ -302,11 +302,14 @@ def test_oracle_equivalence_sample():
 
 def test_brute_force_degree_beyond_int8():
     # Degrees far above the longest chain in P([n]) (n+1 sets), past any
-    # fixed-width integer a depth table could use.
-    for k in (127, 128, 255, 256, 300):
+    # fixed-width integer a depth table could use, and past sys.maxsize,
+    # which no index can hold.
+    three = three_sperner()
+    for k in (127, 128, 255, 256, 300, 2**63, 10**20):
         assert not brute_force_saturated(ConcreteFamily(2, (0, 0b11)), k)
         # no set is absent from P([3]), and its chains have 4 sets
         assert brute_force_saturated(ConcreteFamily(3, tuple(range(8))), k)
+        assert brute_force_saturated(instantiate(three, 2), k) == verify_saturated_k_sperner(three, k).verdict
     assert not brute_force_saturated(ConcreteFamily(3, tuple(range(8))), 3)
 
 

@@ -37,7 +37,6 @@ from spernersat.search import (
     SearchResult,
     _accepted,
     _candidate_rejection,
-    _carried_depth,
     _fixing,
     _image_tables,
     _least_in_group,
@@ -488,14 +487,6 @@ def test_search_builds_a_family_only_for_a_found_result(monkeypatch):
     assert built == []
 
 
-def _depths(keys):
-    """Carried depths of packed keys appended one by one in canonical order."""
-    depths = []
-    for i, key in enumerate(keys):
-        depths.append(_carried_depth(key, keys[:i], depths))
-    return depths
-
-
 @st.composite
 def _canonical_members(draw):
     """(m, forced, members): duplicate-free, in canonical order, with the
@@ -527,12 +518,29 @@ def _carried_covers(m, forced, keys, depths):
     and the forced top adds a layer of its own; the forced pair covers
     every subset."""
     full = (1 << (1 << m)) - 1
-    tables = {key: covered for key, _, _, covered in search_mod._space(m, forced)[0]}
+    tables = {key: covered for key, _, _, covered, _ in search_mod._space(m, forced)[0]}
     carried = len(keys) - forced
     cover = [0] * max(depths[:carried])
     for key, d in zip(keys[:carried], depths):
         cover[d - 1] |= tables.get(key, full)  # the forced bottom is not in the pool
     return cover + [full] * forced
+
+
+def _table_depths(m, forced, keys):
+    """The depths the search reads off its above tables for packed keys
+    appended one by one in canonical order: 1 + the number of leading
+    tables holding the key's point, the appended key then ORing its pool
+    entry's up-closure into its depth's table (the forced bottom's is
+    every point)."""
+    ups = {key: up for key, *_, up in search_mod._space(m, forced)[0]}
+    above, depths = [0] * (len(keys) + 1), []
+    for key in keys:
+        point, depth = key & ~H_BIT | (key >= H_BIT) << m, 1
+        while above[depth - 1] >> point & 1:
+            depth += 1
+        above[depth - 1] |= ups.get(key, (1 << (2 << m)) - 1)
+        depths.append(depth)
+    return depths
 
 
 @settings(max_examples=300, deadline=None)
@@ -542,8 +550,8 @@ def test_leaf_verdicts_from_carried_depths_match_the_verifier(case, k):
     verifier's, and _accepted's verdict on them is verify_saturated_k_sperner's."""
     m, forced, members = case
     keys = [packed_key(mem) for mem in members]
-    depths = _depths(keys)
-    assert depths == member_depths(keys).tolist()
+    depths = member_depths(keys).tolist()
+    assert _table_depths(m, forced, keys) == depths
     if forced:
         # the search gives the forced top a layer of its own without a scan
         assert depths[-1] == 1 + max(depths[:-1])
@@ -627,13 +635,13 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     singleton prune, below every later candidate too) has the shape of an
     accepted family, whether or not the search would reach the state."""
     k, forcing, pool, top, chosen, idx, after = state
-    depths = _depths(chosen)
+    depths = member_depths(chosen).tolist()
     singletons = sum(key < H_BIT and key.bit_count() == 1 for key in chosen)
     large2 = any(key >= H_BIT and d == 2 for key, d in zip(chosen, depths))
 
     def rejection(j):
-        key, _, kind, _ = pool[j]
-        depth = _carried_depth(key, chosen, depths)
+        key, _, kind, *_ = pool[j]
+        depth = int(member_depths(chosen + [key])[-1])
         return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
                                     singletons, large2, k, forcing)
 

@@ -161,10 +161,6 @@ def test_every_public_function_has_a_caller_in_the_package():
 UNCALLED_PUBLIC_METHODS = {
     "Member.atom_count": "perfbench/workloads.py reads it in its own reduction checks",
     "ReductionTrace.replay": "README API: the trace is replayable; perfbench/workloads.py replays every reduction",
-    "CompositionPlan.composed_degree": "the plan's degree read from its factor list, apart from "
-                                       "bootstrapped's arithmetic; the plan tests hold it to k",
-    "CompositionPlan.atoms_needed": "the plan's atom count, apart from bootstrapped's arithmetic; "
-                                    "the plan tests hold it to the built family's m",
 }
 
 
