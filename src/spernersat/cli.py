@@ -15,6 +15,7 @@ import json
 import signal
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 
 from . import bounds as bounds_mod
 from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
@@ -247,7 +248,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built by the first main() call, not at import, and kept for the process
     parser = argparse.ArgumentParser(
         prog="spernersat",
         description="Construct, verify, compose, reduce, and search saturated k-Sperner systems.",

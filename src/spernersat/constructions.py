@@ -18,7 +18,6 @@ retires one atom for good, which bounds the work by m * |input|.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
@@ -34,20 +33,8 @@ from .family import (
 )
 from .saturation import is_saturated_antichain
 
-# compose() and bootstrapped() refuse, before building, to make more members than this.
+# compose() and the two builders refuse, before building, to make more members than this.
 MAX_MEMBERS = 1 << 21
-
-
-def _check_capacity(k: int, atoms: int, size: Callable[[], int], detail: str = "") -> None:
-    """Refuse a degree-k system of more than MAX_ATOMS atoms or MAX_MEMBERS
-    members, from its counts alone.  size() is asked for the member count
-    only once the atoms fit, where it is below 2^64, so a refusal costs no
-    more than writing k and the atom count (by _written)."""
-    if atoms > MAX_ATOMS:
-        raise CapacityError(f"degree {_written(k)} needs {_written(atoms)} atoms "
-                            f"(limit {MAX_ATOMS}){detail}")
-    if (need := size()) > MAX_MEMBERS:
-        raise CapacityError(f"degree {k} needs {need} members (limit {MAX_MEMBERS}){detail}")
 
 
 def trivial_construction(k: int) -> Family:
@@ -55,21 +42,12 @@ def trivial_construction(k: int) -> Family:
     2^(k-1)-member baseline, saturated with k layers, as the product of k-2
     copies of three_sperner().  Raises CapacityError, before building
     anything, beyond MAX_ATOMS atoms or MAX_MEMBERS members (from k = 23 on)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    _check_capacity(k, k - 2, lambda: 1 << (k - 1))
-    return compose(*[three_sperner()] * (k - 2))
+    return _product(k, 0, k - 2)[0]
 
 
 def three_sperner() -> Family:
     """Minimum 3-layer system: empty set, one atom, H, and their union."""
     return Family.from_keys(1, [0, 1, H_BIT, H_BIT | 1])
-
-
-def _keys(small_atom_sets, large_atom_sets) -> list[int]:
-    """Packed keys of the smalls and larges with these atom sets."""
-    return ([mask_of_atoms(s) for s in small_atom_sets]
-            + [H_BIT | mask_of_atoms(s) for s in large_atom_sets])
 
 
 def seven56() -> Family:
@@ -87,7 +65,8 @@ def seven56() -> Family:
     lines = [(1, 2, 6), (2, 3, 7), (1, 3, 4), (2, 4, 5), (3, 5, 6), (4, 6, 7), (1, 5, 7)]
     # layers 0, 1 and 2, then the lines of layer 3; the complements of all
     # of them are the rest of layer 3 and layers 6, 5 and 4
-    lower = _keys([(), (2,), (3,), (5,), (6,), (7,)] + pairs + lines, [(1, 4)] + spread)
+    lower = ([mask_of_atoms(s) for s in [(), (2,), (3,), (5,), (6,), (7,)] + pairs + lines]
+             + [H_BIT | mask_of_atoms(s) for s in [(1, 4)] + spread])
     full = H_BIT | 0x7F
     return Family.from_keys(7, lower + [key ^ full for key in lower])
 
@@ -120,17 +99,34 @@ def compose(*factors: Family) -> Family:
 
 @dataclass(frozen=True)
 class CompositionPlan:
-    """Factorization k = 5j + 2 + s realized as j seven-atom blocks plus s
-    single-atom blocks."""
+    """Factorization k = 5j + 2 + s: the product of j seven-atom blocks and
+    s single-atom blocks, over 7j + s atoms."""
 
     k: int
     j: int
     s: int
-    factors: tuple[str, ...]
 
     @property
     def predicted_size(self) -> int:
         return 2 ** (self.s + 1) * 28 ** self.j
+
+
+def _product(k: int, j: int, s: int, detail: str = "") -> tuple[Family, CompositionPlan]:
+    """compose() of j copies of seven56() and s of three_sperner(), with
+    the degree-k plan (k, j, s) it realizes.  Raises ValueError for k < 2,
+    and CapacityError, before building, beyond MAX_ATOMS atoms or
+    MAX_MEMBERS members.  The atoms are compared first, so the size is only
+    formed once they fit, where it is below 2^64, and a refusal costs no
+    more than writing k and the atom count (by _written)."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if (atoms := 7 * j + s) > MAX_ATOMS:
+        raise CapacityError(f"degree {_written(k)} needs {_written(atoms)} atoms "
+                            f"(limit {MAX_ATOMS}){detail}")
+    plan = CompositionPlan(k, j, s)
+    if (need := plan.predicted_size) > MAX_MEMBERS:
+        raise CapacityError(f"degree {k} needs {need} members (limit {MAX_MEMBERS}){detail}")
+    return compose(*[seven56()] * j, *[three_sperner()] * s), plan
 
 
 def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
@@ -140,12 +136,8 @@ def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
     CapacityError, from the plan and before building anything, when the
     composed universe would exceed MAX_ATOMS atoms or the family MAX_MEMBERS
     members."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     j, s = divmod(k - 2, 5)
-    _check_capacity(k, 7 * j + s, lambda: 2 ** (s + 1) * 28 ** j, f"; plan: j={_written(j)} s={s}")
-    plan = CompositionPlan(k=k, j=j, s=s, factors=("seven56",) * j + ("three",) * s)
-    return compose(*[seven56()] * j, *[three_sperner()] * s), plan
+    return _product(k, j, s, f"; plan: j={_written(j)} s={s}")
 
 
 @dataclass(frozen=True)

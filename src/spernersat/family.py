@@ -61,6 +61,15 @@ def _written(n: int) -> str:
     return str(n) if n.bit_length() <= 256 else f"<{n.bit_length()}-bit number>"
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or by _written where Python refuses to write it so (past
+    sys.get_int_max_str_digits() digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return _written(n)
+
+
 @dataclass(frozen=True, slots=True)
 class Member:
     """One set: the atoms it contains, and whether it contains the block H."""

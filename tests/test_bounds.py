@@ -355,3 +355,19 @@ def test_layer_term_limit_is_checked_before_any_work(monkeypatch):
         find_threshold(2000)
     with pytest.raises(CapacityError, match="table 2..3 needs 2 layer terms"):
         bound_table(2, 3)
+
+
+def test_a_degree_too_long_to_write_in_decimal_is_a_capacity_error():
+    """Python refuses to write an int of more than 4,300 digits in decimal;
+    the refusal names such a k by its bit length.  The CLI turns these k
+    away earlier, as usage errors."""
+    k = 10 ** 5000
+    big = f"<{k.bit_length()}-bit number>"
+    for call, message in (
+            (upper_bound_report, f"degree {big} needs <{(k // 2).bit_length()}-bit number>"),
+            (find_threshold, f"threshold scan up to {big} needs <{(k - 6).bit_length()}-bit number>"),
+            (lambda k_hi: bound_table(7, k_hi),
+             f"table 7..{big} needs <{((k // 2) * ((k + 1) // 2) - 9).bit_length()}-bit number>")):
+        with pytest.raises(CapacityError) as refused:
+            call(k)
+        assert str(refused.value) == f"{message} layer terms (limit 2000000)"

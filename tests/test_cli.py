@@ -13,6 +13,7 @@ import pytest
 
 import spernersat
 from spernersat import Family, parse_family, seven56, serialize_family, three_sperner
+from spernersat import cli
 from spernersat.cli import main
 
 
@@ -20,6 +21,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main() builds the parser on its first call and reuses it: a usage
+    error, --help and a valid command each still get their exit code."""
+    cli.build_parser.cache_clear()
+    code, out, err = run(capsys, "verify", "--k", "7")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --in" in err
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: spernersat ")
+    path = tmp_path / "f.txt"
+    assert run(capsys, "construct", "--kind", "seven56", "--out", str(path))[0] == 0
+    assert run(capsys, "verify", "--k", "7", "--in", str(path))[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 # ------------------------------------------------------ construct/verify

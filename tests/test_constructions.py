@@ -253,14 +253,21 @@ def test_bootstrapped_matches_powerset_below_seven():
         assert plan.predicted_size == 2 ** (k - 1)
 
 
-# degree and atom count of each factor a composition plan names
+# degree and atom count of each factor a composition plan multiplies
 _FACTORS = {"seven56": (7, 7), "three": (3, 1)}
+
+
+def _plan_factors(plan):
+    """The factors of plan's product, in compose order: j seven56 blocks,
+    then s three blocks."""
+    return ("seven56",) * plan.j + ("three",) * plan.s
 
 
 def _plan_degree(plan):
     """The degree of the product of plan's factors: n factors of degrees
     k1..kn compose to k1 + ... + kn - 2(n - 1)."""
-    return sum(_FACTORS[name][0] for name in plan.factors) - 2 * (len(plan.factors) - 1)
+    factors = _plan_factors(plan)
+    return sum(_FACTORS[name][0] for name in factors) - 2 * (len(factors) - 1)
 
 
 def test_bootstrapped_materialized_sizes():
@@ -268,7 +275,7 @@ def test_bootstrapped_materialized_sizes():
         fam, plan = bootstrapped(k)
         assert fam is not None
         assert _plan_degree(plan) == k
-        assert fam.m == sum(_FACTORS[name][1] for name in plan.factors)
+        assert fam.m == sum(_FACTORS[name][1] for name in _plan_factors(plan))
         assert fam.size == plan.predicted_size == 2 ** (plan.s + 1) * 28 ** plan.j
 
 
@@ -314,10 +321,9 @@ def test_bootstrapped_size_identity_arithmetic():
     factor_counts = {"seven56": (28, 28), "three": (2, 2)}
     for k in range(7, 33):
         j, s = divmod(k - 2, 5)
-        plan = CompositionPlan(k=k, j=j, s=s,
-                               factors=("seven56",) * j + ("three",) * s)
+        plan = CompositionPlan(k=k, j=j, s=s)
         smalls, larges = 1, 1  # compose() of no factors: {empty, H}
-        for name in plan.factors:
+        for name in _plan_factors(plan):
             fs, fl = factor_counts[name]
             smalls *= fs
             larges *= fl
