@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import CapacityError, _decimal, _written
+from .family import CapacityError, _written
 from .saturation import _JsonDocument
 
 LN2 = math.log(2.0)
@@ -247,7 +247,7 @@ def find_threshold(k_max: int) -> ThresholdScan:
     stays at or above k/2 + log2(k)/2 through k_max."""
     if k_max < 7:
         raise ValueError("k_max must be >= 7")
-    _check_terms(k_max - 6, f"threshold scan up to {_decimal(k_max)}")
+    _check_terms(k_max - 6, f"threshold scan up to {_written(k_max)}")
     margins = np.fromiter((erf_lower_bound_log2(k) - (k / 2.0 + 0.5 * math.log2(k))
                            for k in range(7, k_max + 1)), dtype=np.float64, count=k_max - 6)
     # the suffix starts after the last negative margin, at 7 if there is none
@@ -289,7 +289,7 @@ def upper_bound_report(k: int) -> BoundReport:
     populated from k = 7 on."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    _check_terms(k // 2, f"degree {_decimal(k)}")
+    _check_terms(k // 2, f"degree {_written(k)}")
     j, s = divmod(k - 2, 5)
     upper_log2 = (s + 1) + j * math.log2(28.0)
     lower = {}
@@ -317,5 +317,5 @@ def bound_table(k_lo: int, k_hi: int) -> Iterator[BoundReport]:
         raise ValueError("need 2 <= k_lo <= k_hi")
     # sum of k // 2 over k = 0..n is (n // 2) * ((n + 1) // 2)
     terms = (k_hi // 2) * ((k_hi + 1) // 2) - ((k_lo - 1) // 2) * (k_lo // 2)
-    _check_terms(terms, f"table {_decimal(k_lo)}..{_decimal(k_hi)}")
+    _check_terms(terms, f"table {_written(k_lo)}..{_written(k_hi)}")
     return map(upper_bound_report, range(k_lo, k_hi + 1))

@@ -55,19 +55,10 @@ class CapacityError(ValueError):
 
 
 def _written(n: int) -> str:
-    """n in decimal up to 256 bits, else its bit length, for a CapacityError
-    message: writing a number of more than 4,300 digits in decimal is itself
-    refused by Python."""
+    """n for every CapacityError message: in decimal up to 256 bits, else by
+    its bit length, so the bytes of a refusal never depend on the
+    interpreter's int-to-str digit limit."""
     return str(n) if n.bit_length() <= 256 else f"<{n.bit_length()}-bit number>"
-
-
-def _decimal(n: int) -> str:
-    """n in decimal, or by _written where Python refuses to write it so (past
-    sys.get_int_max_str_digits() digits)."""
-    try:
-        return str(n)
-    except ValueError:
-        return _written(n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,9 +271,8 @@ def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     longest chain from below has exactly i+1 members, so there are as many
     layers as the longest chain has members.  Layers are antichains over
     f's universe, pairwise disjoint, cover the family, and every member of
-    layer i (i >= 1) properly contains a member of layer i-1."""
-    if not f.keys:
-        raise ValueError("cannot decompose an empty family")
+    layer i (i >= 1) properly contains a member of layer i-1.  An empty
+    family has no layers."""
     layers = _depth_layers(f.keys, member_depths(f.keys).tolist())
     return tuple(Family.from_keys(f.m, layer) for layer in layers)
 

@@ -7,7 +7,10 @@ defect in the numpy closures would surface as a generator/checker mismatch.
 
 import inspect
 import random
+import sys
 import types
+
+import pytest
 
 from spernersat import (
     Family,
@@ -131,3 +134,18 @@ def reachable(func) -> set[str]:
                 if inspect.isfunction(target) and target.__module__.startswith("spernersat"):
                     stack.append(target)
     return seen
+
+
+def at_each_int_str_limit(check) -> None:
+    """Run check() at the interpreter's int-to-str digit limit, then again
+    with the limit off, and put the limit back.  Skips the second run where
+    the interpreter has no such limit to set."""
+    check()
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        check()
+    finally:
+        sys.set_int_max_str_digits(limit)

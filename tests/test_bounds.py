@@ -25,6 +25,8 @@ from spernersat import (
     upper_bound_report,
 )
 
+from helpers import at_each_int_str_limit
+
 # Reference values computed once with 40-digit arbitrary-precision
 # arithmetic and frozen; the implementation must match to 1e-12 absolute.
 ERF_TABLE = [
@@ -126,6 +128,37 @@ def test_sum_lower_bound_dominates_its_pieces():
         for i in range(2, (k - 1) // 2 + 1):
             total += layer_lower_bound(i, k) * (1 if 2 * i == k - 1 else 2)
         assert sum_lower_bound(k) == pytest.approx(total, rel=1e-12)
+
+
+def _root_of_two_below(k: int) -> int:
+    """The c with c^(k-1) <= 2^(48(k-1)+1) < (c+1)^(k-1): c / 2^48 is
+    2^(1/(k-1)) cut down to 48 bits, from a float guess corrected exactly."""
+    top = 1 << (48 * (k - 1) + 1)
+    c = int(2.0 ** (48 + 1 / (k - 1)))
+    while c ** (k - 1) > top:
+        c -= 1
+    while (c + 1) ** (k - 1) <= top:
+        c += 1
+    return c
+
+
+def test_layer_sum_lower_bound_clears_the_claim_exactly():
+    """For 7 <= k <= 500 the layer sum is at least sqrt(k) * 2^(k/2), in
+    integers: the term 2^(2i(k-i-1)/(k-1)) is at least 2^a * (c / 2^48)^r
+    for (a, r) = divmod(2i(k-i-1), k-1), and every value is scaled by
+    2^(48(k-2)).  This checks the sum's arithmetic, not the per-layer lemma."""
+    for k in range(7, 501):
+        c = _root_of_two_below(k)
+        powers = [1]
+        for _ in range(k - 2):
+            powers.append(powers[-1] * c)
+        total = 2 * k << 48 * (k - 2)  # the end layers: 1 and k - 1 each side
+        for i in range(2, (k - 1) // 2 + 1):
+            a, r = divmod(2 * i * (k - i - 1), k - 1)
+            weight = 1 if 2 * i == k - 1 else 2
+            total += weight * powers[r] << a + 48 * (k - 2 - r)
+        assert total * total >= k << k + 96 * (k - 2), k
+        assert upper_bound_report(k).sum_lower_log2 >= k / 2 + math.log2(k) / 2, k
 
 
 def _scalar_layers_and_sum_log2(k):
@@ -359,15 +392,32 @@ def test_layer_term_limit_is_checked_before_any_work(monkeypatch):
 
 def test_a_degree_too_long_to_write_in_decimal_is_a_capacity_error():
     """Python refuses to write an int of more than 4,300 digits in decimal;
-    the refusal names such a k by its bit length.  The CLI turns these k
-    away earlier, as usage errors."""
+    the refusal names such a k by its bit length, and so with the limit off
+    too.  The CLI turns these k away earlier, as usage errors."""
     k = 10 ** 5000
     big = f"<{k.bit_length()}-bit number>"
+
+    def check():
+        for call, message in (
+                (upper_bound_report, f"degree {big} needs <{(k // 2).bit_length()}-bit number>"),
+                (find_threshold, f"threshold scan up to {big} needs <{(k - 6).bit_length()}-bit number>"),
+                (lambda k_hi: bound_table(7, k_hi),
+                 f"table 7..{big} needs <{((k // 2) * ((k + 1) // 2) - 9).bit_length()}-bit number>")):
+            with pytest.raises(CapacityError) as refused:
+                call(k)
+            assert str(refused.value) == f"{message} layer terms (limit 2000000)"
+
+    at_each_int_str_limit(check)
+
+
+def test_a_degree_past_256_bits_is_written_by_its_bit_length():
+    """A 100-digit k is far inside Python's decimal limit, and is still
+    written by its bit length, as every number past 256 bits is."""
+    k = 10 ** 99
     for call, message in (
-            (upper_bound_report, f"degree {big} needs <{(k // 2).bit_length()}-bit number>"),
-            (find_threshold, f"threshold scan up to {big} needs <{(k - 6).bit_length()}-bit number>"),
-            (lambda k_hi: bound_table(7, k_hi),
-             f"table 7..{big} needs <{((k // 2) * ((k + 1) // 2) - 9).bit_length()}-bit number>")):
+            (upper_bound_report, "degree <329-bit number> needs <328-bit number>"),
+            (find_threshold, "threshold scan up to <329-bit number> needs <329-bit number>"),
+            (lambda k_hi: bound_table(7, k_hi), "table 7..<329-bit number> needs <656-bit number>")):
         with pytest.raises(CapacityError) as refused:
             call(k)
         assert str(refused.value) == f"{message} layer terms (limit 2000000)"

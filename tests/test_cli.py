@@ -149,6 +149,21 @@ def test_verify_text_names_each_unsaturated_layer_and_its_witness(tmp_path, caps
     assert run(capsys, "verify", "--k", "7", "--in", str(path)) == (1, _UNSATURATED_TEXT, "")
 
 
+def test_verify_and_oracle_agree_on_the_empty_family(tmp_path, capsys):
+    # a header alone is a well-formed family with no members and no layers
+    path = tmp_path / "empty.txt"
+    path.write_text("universe 2\n")
+    assert run(capsys, "verify", "--k", "2", "--in", str(path)) == (1, (
+        "family: 0 members over 2 atoms + H\n"
+        "layers: 0 (expected 2)\n"
+        "  reason: WRONG_LAYER_COUNT\n"
+        "verdict: False\n"), "")
+    code, out, _ = run(capsys, "oracle", "--in", str(path), "--h", "2", "--k", "2")
+    assert (code, out) == (1, "saturated 2-Sperner on 4 concrete elements: False\n")
+    assert run(capsys, "reduce", "--in", str(path)) == (
+        1, "", "input rejected: input antichain is not saturated\n")
+
+
 # --------------------------------------------------------------- compose
 
 def test_compose_command(tmp_path, capsys):
@@ -546,12 +561,12 @@ def test_compose_and_bounds_beyond_their_limits_exit_5(tmp_path, capsys):
         assert out == ""
         assert err == f"capacity error: {need} layer terms (limit 2000000)\n"
 
-    # counts too long to write in decimal are written by their bit length
+    # numbers past 256 bits, k as well as the term count, are written by their bit length
     hi = int("9" * 3000)
     terms = (hi // 2) * ((hi + 1) // 2) - 3 * 3
     code, out, err = run(capsys, "bounds", "--table", f"7..{hi}")
     assert (code, out) == (5, "")
-    assert err == (f"capacity error: table 7..{hi} needs <{terms.bit_length()}-bit number> "
+    assert err == (f"capacity error: table 7..<9966-bit number> needs <{terms.bit_length()}-bit number> "
                    f"layer terms (limit 2000000)\n")
 
     # the search's orbit check covers at most 8 atoms: a usage error, not a capacity limit

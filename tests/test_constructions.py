@@ -34,6 +34,7 @@ from spernersat import (
     verify_saturated_k_sperner,
 )
 from helpers import (
+    at_each_int_str_limit,
     builtin_families,
     composed_families,
     random_saturated_antichain,
@@ -389,21 +390,26 @@ def test_bootstrapped_bytes_are_pinned():
 
 def test_a_degree_too_long_to_write_in_decimal_is_a_capacity_error():
     """Python refuses to write an int of more than 4,300 digits in decimal;
-    the refusal gives such a number's bit length instead."""
+    the refusal gives such a number's bit length instead, and so with the
+    limit off too."""
     k = 10 ** 5000
     bits = k.bit_length()
     j, s = divmod(k - 2, 5)
-    with pytest.raises(CapacityError) as refused:
-        bootstrapped(k)
-    assert (bits, (7 * j + s).bit_length(), j.bit_length(), s) == (16610, 16611, 16608, 3)
-    assert str(refused.value) == ("degree <16610-bit number> needs <16611-bit number> atoms "
-                                  "(limit 62); plan: j=<16608-bit number> s=3")
-    with pytest.raises(CapacityError) as refused:
-        trivial_construction(k)
-    assert str(refused.value) == f"degree <{bits}-bit number> needs <{bits}-bit number> atoms (limit 62)"
-    # up to 256 bits a degree is still written in decimal
-    with pytest.raises(CapacityError, match=f"^degree {2 ** 256 - 1} needs {2 ** 256 - 3} atoms"):
-        trivial_construction(2 ** 256 - 1)
+
+    def check():
+        with pytest.raises(CapacityError) as refused:
+            bootstrapped(k)
+        assert (bits, (7 * j + s).bit_length(), j.bit_length(), s) == (16610, 16611, 16608, 3)
+        assert str(refused.value) == ("degree <16610-bit number> needs <16611-bit number> atoms "
+                                      "(limit 62); plan: j=<16608-bit number> s=3")
+        with pytest.raises(CapacityError) as refused:
+            trivial_construction(k)
+        assert str(refused.value) == f"degree <{bits}-bit number> needs <{bits}-bit number> atoms (limit 62)"
+        # up to 256 bits a degree is still written in decimal
+        with pytest.raises(CapacityError, match=f"^degree {2 ** 256 - 1} needs {2 ** 256 - 3} atoms"):
+            trivial_construction(2 ** 256 - 1)
+
+    at_each_int_str_limit(check)
 
 
 def test_trivial_construction_member_cap_is_checked_before_building(monkeypatch):

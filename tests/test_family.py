@@ -303,9 +303,8 @@ def test_decomposition_trivial_examples():
     assert canonical_decomposition(three_sperner()) == layers
 
 
-def test_decomposition_rejects_empty():
-    with pytest.raises(ValueError):
-        canonical_decomposition(Family(3, ()))
+def test_decomposition_of_empty_has_no_layers():
+    assert canonical_decomposition(Family(3, ())) == ()
 
 
 def test_decomposition_invariants_random():

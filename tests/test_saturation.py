@@ -168,9 +168,11 @@ def test_verify_unsaturated_layer_reports_index_and_witness():
     assert layer in (0, 1)
 
 
-def test_verify_rejects_empty_family_and_accepts_any_k():
-    with pytest.raises(ValueError):
-        verify_saturated_k_sperner(Family(2, ()), 2)
+def test_verify_gives_empty_family_a_false_verdict_and_accepts_any_k():
+    report = verify_saturated_k_sperner(Family(2, ()), 2)
+    assert not report.verdict
+    assert report.layer_count == 0
+    assert [reason.code for reason in report.reasons] == [WRONG_LAYER_COUNT]
     with pytest.raises(ValueError, match="k must be >= 1"):
         verify_saturated_k_sperner(three_sperner(), 0)
     assert not verify_saturated_k_sperner(three_sperner(), 2).verdict
@@ -381,10 +383,10 @@ def test_capacity_refusals_are_capacity_errors():
 
 @st.composite
 def _abstract_families(draw):
-    # m <= 5 atoms, 1..12 members, smalls and larges
+    # m <= 5 atoms, 0..12 members, smalls and larges
     m = draw(st.integers(0, 5))
     members = draw(st.sets(st.builds(Member, st.integers(0, (1 << m) - 1), st.booleans()),
-                           min_size=1, max_size=12))
+                           min_size=0, max_size=12))
     return Family(m, tuple(members))
 
 
