@@ -31,7 +31,7 @@ from .family import (
     first_contained_pair,
     mask_of_atoms,
 )
-from .saturation import is_saturated_antichain
+from .saturation import is_saturated_antichain, verify_saturated_k_sperner
 
 # compose() and the two builders refuse, before building, to make more members than this.
 MAX_MEMBERS = 1 << 21
@@ -250,8 +250,7 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     result = Family.from_keys(a.m, working)
     if result.size > a.size:
         raise RuntimeError("reduction grew the family; this is a defect")
-    ok, _ = is_saturated_antichain(result)
-    if not ok:
+    if not verify_saturated_k_sperner(result, 1).verdict:
         raise RuntimeError("reduction lost saturation; this is a defect")
     if first_multi_atom_small(result.keys) is not None:
         raise RuntimeError("reduction left a multi-atom small; this is a defect")

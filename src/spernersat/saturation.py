@@ -53,21 +53,6 @@ def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None
     return first_hole(covered, m)
 
 
-def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
-    """Exhaustive test over all 2^m atom subsets: (True, None), or (False,
-    witness) with the mask of the first uncovered subset in canonical order
-    (atom count, then numeric value).  Raises ValueError if the input is not
-    an antichain, and CapacityError if the universe is too large to scan."""
-    if layer.m > SCAN_MAX_ATOMS:
-        raise CapacityError(f"universe of size {layer.m} is too large for the exhaustive scan")
-    # one level of the depth peeling: no member is on a second level
-    if (member_depths(layer.keys) > 1).any():
-        raise ValueError("input is not an antichain")
-    witness = _first_uncovered(layer.m, [key for key in layer.keys if key < H_BIT],
-                               [key ^ H_BIT for key in layer.keys if key >= H_BIT])
-    return witness is None, witness
-
-
 WRONG_LAYER_COUNT = "WRONG_LAYER_COUNT"
 LAYER_NOT_SATURATED = "LAYER_NOT_SATURATED"
 
@@ -175,6 +160,18 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
     return VerificationReport(verdict=not reasons, k=k, layer_count=len(layers),
                               layers=tuple(layer_reports), reasons=tuple(reasons))
+
+
+def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:
+    """The verifier at k = 1: (True, None), or (False, witness) with the mask
+    of the first uncovered subset in canonical order (atom count, then
+    numeric value); the empty family has no layer, so the empty set is its
+    witness.  Raises ValueError if the input is not an antichain, and
+    CapacityError if the universe is too large to scan."""
+    report = verify_saturated_k_sperner(layer, 1)
+    if report.layer_count > 1:
+        raise ValueError("input is not an antichain")
+    return report.verdict, report.layers[0].witness_mask if report.layers else 0
 
 
 @dataclass(frozen=True)

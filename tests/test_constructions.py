@@ -33,6 +33,7 @@ from spernersat import (
     trivial_construction,
     verify_saturated_k_sperner,
 )
+from spernersat.family import H_BIT
 from helpers import (
     at_each_int_str_limit,
     builtin_families,
@@ -533,3 +534,39 @@ def test_reduce_rejects_bad_input():
         reduce_antichain(Family(2, (Member(0b01, False), Member(0b11, False))))
     with pytest.raises(ValueError):
         reduce_antichain(Family(2, (Member(0b11, False),)))
+
+
+# A defect in the rewriting is a RuntimeError, never an input rejection: each
+# test below breaks the containment scan the reduction relies on.
+
+def test_reduce_that_leaves_a_containment_is_a_defect(monkeypatch):
+    import spernersat.constructions as constructions_mod
+
+    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: None)
+    # the result holds comparable members: not a saturated 1-Sperner system
+    with pytest.raises(RuntimeError, match="reduction lost saturation; this is a defect"):
+        reduce_antichain(canonical_decomposition(seven56())[2])
+
+
+def test_cli_reduce_never_rejects_the_input_for_a_defect(tmp_path, capsys, monkeypatch):
+    import spernersat.constructions as constructions_mod
+    from spernersat import cli
+
+    src = tmp_path / "layer.txt"
+    src.write_text(serialize_family(canonical_decomposition(seven56())[2]))
+    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: None)
+    with pytest.raises(RuntimeError, match="reduction lost saturation; this is a defect"):
+        cli.main(["reduce", "--in", str(src)])
+    assert "input rejected" not in capsys.readouterr().err
+
+
+def test_reduce_that_never_settles_hits_its_iteration_bound(monkeypatch):
+    import spernersat.constructions as constructions_mod
+
+    layer = canonical_decomposition(seven56())[2]
+    small = next(key for key in layer.keys if key < H_BIT)
+    large = next(key for key in layer.keys if key >= H_BIT)
+    # a small inside a large redirects the rewrite to it, round after round
+    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: (small, large))
+    with pytest.raises(RuntimeError, match="reduction exceeded its iteration bound; this is a defect"):
+        reduce_antichain(layer)

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spernersat import (
@@ -79,6 +79,7 @@ def _small_layers(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_layers())
+@example(Family(2, ()))
 def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
     smalls = [mem.atom_mask for mem in layer.members if not mem.has_H]
     larges = [mem.atom_mask for mem in layer.members if mem.has_H]
@@ -88,6 +89,16 @@ def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
     holes = [t for t in range(1 << layer.m) if not covered(t)]
     first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
     assert _first_uncovered(layer.m, smalls, larges) == first
+
+    # is_saturated_antichain against the definition: the empty family gets
+    # (False, 0), since nothing covers the empty set
+    def inside(a, b):
+        return a != b and a.atom_mask & ~b.atom_mask == 0 and a.has_H <= b.has_H
+    if any(inside(a, b) for a in layer.members for b in layer.members):
+        with pytest.raises(ValueError, match="input is not an antichain"):
+            is_saturated_antichain(layer)
+    else:
+        assert is_saturated_antichain(layer) == (first is None, first)
 
 
 def test_first_uncovered_on_a_wide_universe():
@@ -366,7 +377,7 @@ def test_capacity_refusals_are_capacity_errors():
     big = Family(SCAN_MAX_ATOMS + 1, (Member(0, False),))
     with pytest.raises(CapacityError, match="universe of size 29 is too large for the exhaustive scan"):
         verify_saturated_k_sperner(big, 1)
-    # refused before the pair scan, so a comparable pair does not matter
+    # refused before the depth pass, so a comparable pair does not matter
     chain = Family(SCAN_MAX_ATOMS + 1, (Member(0, False), Member(1, False)))
     with pytest.raises(CapacityError, match="universe of size 29 is too large for the exhaustive scan"):
         is_saturated_antichain(chain)
