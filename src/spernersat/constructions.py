@@ -12,7 +12,7 @@ pick an atom inside a non-singleton small member, shrink that member to
 the bare atom, delete the atom everywhere else, then resolve the
 containments this creates (keep minimal smalls, maximal larges; a small
 inside a large redirects the rewrite to one of its atoms).  Each round
-retires one atom for good, which bounds the work by m * |input|.
+retires one atom for good: at most m rounds, each one sort and one scan.
 """
 
 from __future__ import annotations
@@ -192,13 +192,15 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
     Never grows the family, preserves saturation, and leaves an input whose
     smalls already are singletons untouched.  Raises ValueError if the input
     is not a saturated antichain and RuntimeError if any postcondition fails
-    (a defect, not an input error).  Works on a set of packed keys, read in
-    canonical order through Family.from_keys; only the trace holds Members.
+    (a defect, not an input error).  Only the trace holds Members.  A round
+    retires its atom for good: after it the atom is only in its singleton,
+    which no large contains, so no later target (a multi-atom small, or a
+    small inside a large) has it as lowest atom; over m rounds is a defect.
     """
     saturated, _ = is_saturated_antichain(a)
     if not saturated:
         raise ValueError("input antichain is not saturated")
-    working = set(a.keys)
+    keys = list(a.keys)  # the working family, in canonical order
     steps: list[TraceStep] = []
 
     def log(action, before=None, after=None, atom=None):
@@ -210,44 +212,42 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
         return next((key for key in keys if key < H_BIT and key.bit_count() > 1), None)
 
     had_multi_atom_small = first_multi_atom_small(a.keys) is not None
-    step_budget = a.m * a.size
     rewrites = 0
     target = None  # the small a containment redirected the rewrite to
     while True:
         if target is None:
-            target = first_multi_atom_small(Family.from_keys(a.m, working).keys)
+            target = first_multi_atom_small(keys)
             if target is None:
                 break
             log("choose", before=target, atom=_lowest_atom(target))
         rewrites += 1
-        if rewrites > step_budget:
+        if rewrites > a.m:
             raise RuntimeError("reduction exceeded its iteration bound; this is a defect")
         atom = _lowest_atom(target)
         bit = 1 << (atom - 1)  # the singleton small of the atom, as a packed key
         if target != bit:
-            working.discard(target)
-            working.add(bit)
             log("replace", before=target, after=bit, atom=atom)
-        for key in Family.from_keys(a.m, working).keys:
-            if key != bit and key & bit:
-                working.remove(key)
-                stripped = key & ~bit
-                log("merge" if stripped in working else "strip", before=key, after=stripped, atom=atom)
-                working.add(stripped)
-        target = None
-        while (pair := first_contained_pair(Family.from_keys(a.m, working).keys)) is not None:
-            inner, outer = pair
-            if outer < H_BIT:
-                working.remove(outer)
-                log("drop_small_superset", before=outer)
-            elif inner >= H_BIT:
-                working.remove(inner)
-                log("drop_large_subset", before=inner)
+        # the target becomes bit, every other key holding the atom loses it
+        kept = {bit, *(key for key in keys if not key & bit)}
+        for key in keys:
+            if key & bit and key not in (bit, target):
+                stripped = key ^ bit
+                log("merge" if stripped in kept else "strip", before=key, after=stripped, atom=atom)
+                kept.add(stripped)
+        keys = list(Family.from_keys(a.m, kept).keys)
+        # a drop makes no pair, so the scan resumes at the row of the last one
+        target, row = None, 0
+        while (pair := first_contained_pair(keys, row)) is not None:
+            row, j = pair
+            if keys[j] < H_BIT:
+                log("drop_small_superset", before=keys.pop(j))
+            elif keys[row] >= H_BIT:
+                log("drop_large_subset", before=keys.pop(row))
             else:
-                target = inner
-                log("reassign", before=inner, atom=_lowest_atom(inner))
+                target = keys[row]
+                log("reassign", before=target, atom=_lowest_atom(target))
                 break
-    result = Family.from_keys(a.m, working)
+    result = Family.from_keys(a.m, keys)
     if result.size > a.size:
         raise RuntimeError("reduction grew the family; this is a defect")
     if not verify_saturated_k_sperner(result, 1).verdict:

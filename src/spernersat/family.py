@@ -186,14 +186,14 @@ def complement_family(f: Family) -> Family:
     return Family.from_keys(f.m, [key ^ full for key in f.keys])
 
 
-def first_contained_pair(keys) -> tuple[int, int] | None:
-    """First (a, b) of distinct packed keys with a a bit-subset of b, so a
-    member properly inside another, scanning keys in canonical order, where
-    containment can only point forward."""
-    for i, a in enumerate(keys):
-        for b in keys[i + 1:]:
-            if a & ~b == 0:
-                return a, b
+def first_contained_pair(keys, start: int = 0) -> tuple[int, int] | None:
+    """First index pair (i, j), i >= start, with keys[i] a bit-subset of
+    keys[j]: a member properly inside another, by rows of distinct packed
+    keys in canonical order, where containment only points forward (j > i)."""
+    for i in range(start, len(keys)):
+        for j in range(i + 1, len(keys)):
+            if keys[i] & ~keys[j] == 0:
+                return i, j
     return None
 
 

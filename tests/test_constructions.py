@@ -33,7 +33,6 @@ from spernersat import (
     trivial_construction,
     verify_saturated_k_sperner,
 )
-from spernersat.family import H_BIT
 from helpers import (
     at_each_int_str_limit,
     builtin_families,
@@ -529,6 +528,16 @@ def test_reduce_traces_and_outputs_are_pinned():
     assert digest.hexdigest() == "4217e3cff24e2d42a14c6cd2ef9b50e240edf90732881a471cbf090470a1bd65"
 
 
+def test_reduce_of_a_large_layer_is_pinned():
+    """Regression pin at scale: the trace and output of the largest layer of
+    bootstrapped(15), 2,452 members reduced over hundreds of merges and drops."""
+    layer = max(canonical_decomposition(bootstrapped(15)[0]), key=lambda layer: layer.size)
+    out, trace = reduce_antichain(layer)
+    assert (layer.size, out.size, len(trace.steps)) == (2452, 14, 7406)
+    digest = hashlib.sha256(f"{trace.describe()}\n{serialize_family(out)}".encode())
+    assert digest.hexdigest() == "304b72df0ebc57bb259d65c413d6a4093d4a47b8911d2ea0b5cd819bf052b131"
+
+
 def test_reduce_rejects_bad_input():
     with pytest.raises(ValueError):
         reduce_antichain(Family(2, (Member(0b01, False), Member(0b11, False))))
@@ -542,7 +551,7 @@ def test_reduce_rejects_bad_input():
 def test_reduce_that_leaves_a_containment_is_a_defect(monkeypatch):
     import spernersat.constructions as constructions_mod
 
-    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: None)
+    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys, start=0: None)
     # the result holds comparable members: not a saturated 1-Sperner system
     with pytest.raises(RuntimeError, match="reduction lost saturation; this is a defect"):
         reduce_antichain(canonical_decomposition(seven56())[2])
@@ -554,7 +563,7 @@ def test_cli_reduce_never_rejects_the_input_for_a_defect(tmp_path, capsys, monke
 
     src = tmp_path / "layer.txt"
     src.write_text(serialize_family(canonical_decomposition(seven56())[2]))
-    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: None)
+    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys, start=0: None)
     with pytest.raises(RuntimeError, match="reduction lost saturation; this is a defect"):
         cli.main(["reduce", "--in", str(src)])
     assert "input rejected" not in capsys.readouterr().err
@@ -564,9 +573,8 @@ def test_reduce_that_never_settles_hits_its_iteration_bound(monkeypatch):
     import spernersat.constructions as constructions_mod
 
     layer = canonical_decomposition(seven56())[2]
-    small = next(key for key in layer.keys if key < H_BIT)
-    large = next(key for key in layer.keys if key >= H_BIT)
-    # a small inside a large redirects the rewrite to it, round after round
-    monkeypatch.setattr(constructions_mod, "first_contained_pair", lambda keys: (small, large))
+    # the first small, inside the last large, redirects the rewrite to it, round after round
+    monkeypatch.setattr(constructions_mod, "first_contained_pair",
+                        lambda keys, start=0: (0, len(keys) - 1))
     with pytest.raises(RuntimeError, match="reduction exceeded its iteration bound; this is a defect"):
         reduce_antichain(layer)

@@ -38,7 +38,7 @@ from spernersat import (
     trivial_construction,
     verify_saturated_k_sperner,
 )
-from spernersat.family import H_BIT
+from spernersat.family import H_BIT, first_contained_pair
 from helpers import random_family
 
 
@@ -281,6 +281,12 @@ def test_is_antichain_matches_chain_length():
     for _ in range(300):
         f = random_family(rng)
         assert is_antichain(f) == (member_depths(f.keys).max() <= 1)
+        # from every start row, the first contained pair in row order
+        pairs = [(i, j) for i, a in enumerate(f.keys) for j, b in enumerate(f.keys)
+                 if i != j and a & ~b == 0]
+        for start in range(f.size + 1):
+            assert first_contained_pair(f.keys, start) == next(
+                (pair for pair in pairs if pair[0] >= start), None)
 
 
 # ----------------------------------------------------------- decomposition
