@@ -212,16 +212,14 @@ def reduce_antichain(a: Family) -> tuple[Family, ReductionTrace]:
         return next((key for key in keys if key < H_BIT and key.bit_count() > 1), None)
 
     had_multi_atom_small = first_multi_atom_small(a.keys) is not None
-    rewrites = 0
     target = None  # the small a containment redirected the rewrite to
-    while True:
+    for rounds in range(a.m + 1):
         if target is None:
             target = first_multi_atom_small(keys)
             if target is None:
                 break
             log("choose", before=target, atom=_lowest_atom(target))
-        rewrites += 1
-        if rewrites > a.m:
+        if rounds == a.m:
             raise RuntimeError("reduction exceeded its iteration bound; this is a defect")
         atom = _lowest_atom(target)
         bit = 1 << (atom - 1)  # the singleton small of the atom, as a packed key

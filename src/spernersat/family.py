@@ -198,7 +198,10 @@ def first_contained_pair(keys, start: int = 0) -> tuple[int, int] | None:
 
 
 def is_antichain(f: Family) -> bool:
-    """No member properly contains another."""
+    """No member properly contains another: a quadratic pair scan, about 3 s
+    on bootstrapped(17)'s largest layer (7,854 members), where
+    (member_depths(f.keys) <= 1).all() gives the same verdict in
+    milliseconds (up to SCAN_MAX_ATOMS atoms)."""
     return first_contained_pair(f.keys) is None
 
 

@@ -28,11 +28,11 @@ its depth is 1 + their number.  The largest depth of the chosen members
 travels as a parameter.  Relabelings read one image table per atom
 permutation (the image of every atom mask, m! * 2^m bytes per m); the
 orbit check compares only the relabelings that fix every completed group
-of equal (H flag, atom count), and only on the open group (the argument is
-at _fixing).  The candidate pool (each candidate's packed key, atom mask,
-group, coverage table and up-closure) and the image tables of each m are
-built once per call, when the search first reaches that m; the search
-builds no Member.
+of equal (H flag, atom count), only on the open group, and hands those
+that fix it too down to the next group (the argument is at _fixing).  The
+candidate pool (each candidate's packed key, atom mask, group, coverage
+table and up-closure) and the image tables of each m are built once per
+call, when the search first reaches that m; the search builds no Member.
 
 A complete candidate (a leaf) must have what every accepted family has:
   1. largest depth k, because the verifier's layer count is the largest
@@ -95,6 +95,7 @@ the exact bounds (and the forcing flag) the claim is relative to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from itertools import permutations
 
 import numpy as np
@@ -196,19 +197,22 @@ def canonical_form(f: Family) -> Family:
 # Members arrive group after group, and every prefix already passed the check:
 # a relabeling that moves a completed group sorts it above itself, which no
 # later member can undo.  Only the relabelings that fix every completed group
-# (`live`) are compared, and only on the open group.
+# (`live`) are compared, and only on the open group, and the check returns
+# those that fix it too: the next group's live, which the search hands down.
 
-def _fixing(live, group: list[int]) -> list[bytes]:
-    """The tables of live that map the ascending masks of group onto themselves."""
-    return [table for table in live if sorted([table[x] for x in group]) == group]
+def _fixing(live, group: list[int]) -> list[bytes] | None:
+    """None if a table of live maps the ascending masks of group to a smaller
+    sorted list, else the tables of live that map them onto themselves."""
+    fixing = []
+    for table in live:
+        if (image := sorted([table[x] for x in group])) < group:
+            return None
+        if image == group:
+            fixing.append(table)
+    return fixing
 
 
-def _least_in_group(live, group: list[int]) -> bool:
-    """No table of live maps the ascending masks of group to a smaller sorted list."""
-    return all(sorted([table[x] for x in group]) >= group for table in live)
-
-
-def _floors(k: int, force: bool) -> tuple[int, int]:
+def _floors(k: int, shaped: bool) -> tuple[int, int]:
     """(size, atoms): the fewest members and atoms an accepted family has.
 
     An accepted family has exactly k layers, each a saturated antichain.  A
@@ -224,25 +228,24 @@ def _floors(k: int, force: bool) -> tuple[int, int]:
     rises at every step but the one from a small to a large, so it has at
     most m+2 members; k layers need a chain of k members, so m >= k-2.
     """
-    if force and k >= 3:
+    if shaped:
         return 3 * k - 5, k - 2
     return max(1, 2 * k - 2), max(0, k - 2)
 
 
 def _candidate_rejection(kind, depth: int, reach: int, singletons: int, large2: bool,
-                         k: int, forcing: bool) -> str | None:
+                         k: int, shaped: bool, depth_limit: int) -> str | None:
     """The SearchCounts field of the first test that turns down appending a
     candidate of this kind (H flag, atom count) and carried depth, or None
     when the orbit check has to decide.  reach is the larger of its depth
     and the chosen members' largest, plus the members still to append after
-    it; singletons counts the chosen singleton smalls, and large2 says
-    whether a depth-2 large is chosen.  Below a turned-down candidate no
+    it; singletons counts the chosen singleton smalls, large2 says whether
+    a depth-2 large is chosen, shaped whether leaves need the forced layer-1
+    shape, and depth_limit is rule (d)'s.  Below a turned-down candidate no
     leaf has 1 and 2 of the module docstring (by its rules (a)-(d)), and
     "singleton_prunes" turns down every later candidate of the pool too."""
-    shaped = forcing and k >= 3
     if shaped and singletons < k - 2 and kind != (False, 1):
         return "singleton_prunes"
-    depth_limit = k - 1 if forcing and k >= 2 else k
     if depth > depth_limit:
         return "chain_prunes"
     if reach < depth_limit:
@@ -291,15 +294,16 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     k = bounds.k
     force = forcing and k >= 2
     shaped = forcing and k >= 3
+    depth_limit = k - 1 if force else k
     nodes = 0
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
-    spaces = {}  # m -> _space(m, force)
+    space = cache(partial(_space, force=force))
 
-    def dfs(start, live, group, group_kind, singletons, large2, height):
+    def dfs(start, live, group, fixing, group_kind, singletons, large2, height):
         # Extends keys, cover and above (every member but the forced top)
-        # from pool[start:]; live, group and group_kind are the orbit
-        # check's state, singletons and large2 _candidate_rejection's, and
-        # height is the chosen members' largest depth.
+        # from pool[start:]; live, group, group_kind and fixing (live's
+        # tables that fix group) are the orbit check's state, singletons and
+        # large2 _candidate_rejection's, height the chosen members' largest depth.
         # Returns the keys of the first accepted leaf, or None.
         nonlocal nodes
         nodes += 1
@@ -311,7 +315,6 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 return None
             tally["leaves_verified"] += 1
             return _accepted(m, keys + top, cover[:height] + [full] * len(top), k)
-        closed = None  # live restricted to the tables that fix group, once asked for
         after = need - len(keys) - 1  # members still to append after a candidate
         for idx in range(start, len(pool) + len(keys) - need + 1):
             key, mask, kind, covered, up = pool[idx]
@@ -320,7 +323,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             while above[depth - 1] >> point & 1:  # above[height] is empty
                 depth += 1
             reason = _candidate_rejection(kind, depth, max(height, depth) + after,
-                                          singletons, large2, k, forcing)
+                                          singletons, large2, k, shaped, depth_limit)
             if reason is not None:
                 tally[reason] += 1
                 if reason == "singleton_prunes":
@@ -329,16 +332,14 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             if kind == group_kind:
                 next_live, next_group = live, group + [mask]
             else:
-                if closed is None:
-                    closed = _fixing(live, group)
-                next_live, next_group = closed, [mask]
-            if not _least_in_group(next_live, next_group):
+                next_live, next_group = fixing, [mask]
+            if (next_fixing := _fixing(next_live, next_group)) is None:
                 tally["orbit_prunes"] += 1
                 continue
             keys.append(key)
             held, held_above = cover[depth - 1], above[depth - 1]
             cover[depth - 1], above[depth - 1] = held | covered, held_above | up
-            found = dfs(idx + 1, next_live, next_group, kind, singletons + (kind == (False, 1)),
+            found = dfs(idx + 1, next_live, next_group, next_fixing, kind, singletons + (kind == (False, 1)),
                         large2 or (kind[0] and depth == 2), max(height, depth))
             keys.pop()
             cover[depth - 1], above[depth - 1] = held, held_above
@@ -349,13 +350,11 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     def result(outcome, family=None, certificate=None):
         return SearchResult(outcome, family, nodes, certificate, SearchCounts(**tally))
 
-    size_floor, atom_floor = _floors(k, force)
+    size_floor, atom_floor = _floors(k, shaped)
     try:
         for size in range(size_floor, bounds.max_size + 1):
             for m in range(atom_floor, bounds.max_atoms + 1):
-                if m not in spaces:
-                    spaces[m] = _space(m, force)
-                pool, tables, bottom, top = spaces[m]
+                pool, tables, bottom, top = space(m)
                 need = size - len(top)
                 full = (1 << (1 << m)) - 1  # every atom subset, what the forced bottom and top cover
                 keys = list(bottom)
@@ -363,7 +362,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 # above[i]: the points that contain one of them
                 cover = [full] * len(bottom) + [0] * need
                 above = [(1 << (2 << m)) - 1] * len(bottom) + [0] * need
-                found = dfs(0, tables, [], None, 0, False, len(bottom))
+                found = dfs(0, tables, [], tables, None, 0, False, len(bottom))
                 if found is not None:
                     family = Family.from_keys(m, found)
                     if not verify_saturated_k_sperner(family, k).verdict:

@@ -39,7 +39,6 @@ from spernersat.search import (
     _candidate_rejection,
     _fixing,
     _image_tables,
-    _least_in_group,
 )
 from helpers import random_family, reachable
 
@@ -642,8 +641,8 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     def rejection(j):
         key, _, kind, *_ = pool[j]
         depth = int(member_depths(chosen + [key])[-1])
-        return _candidate_rejection(kind, depth, max(depths + [depth]) + after,
-                                    singletons, large2, k, forcing)
+        return _candidate_rejection(kind, depth, max(depths + [depth]) + after, singletons, large2,
+                                    k, forcing and k >= 3, k - 1 if forcing and k >= 2 else k)
 
     reason = rejection(idx)
     event(str(reason))
@@ -682,10 +681,12 @@ def _orbit_least(members, m):
 @given(st.integers(0, 4), st.data())
 def test_groupwise_orbit_check_matches_the_definition(m, data):
     """Walk one depth-first path: each candidate's verdict, from the
-    relabelings that fix every completed group, equals the direct one."""
+    relabelings that fix every completed group, equals the direct one, and
+    a passing check returns, in order, the tables that fix the new group."""
     pool = sorted((Member(mask, has_h) for has_h in (False, True) for mask in range(1 << m)),
                   key=Member.key)
-    chosen, live, group, group_key = [], _image_tables(m)[1:], [], None
+    tables = _image_tables(m)[1:]
+    chosen, live, group, fixing, group_key = [], tables, [], tables, None
     start = 0
     while start < len(pool):
         idx = data.draw(st.integers(start, len(pool) - 1))
@@ -695,9 +696,11 @@ def test_groupwise_orbit_check_matches_the_definition(m, data):
         if group and key == group_key:
             next_live, next_group = live, group + [mem.atom_mask]
         else:
-            next_live, next_group = _fixing(live, group), [mem.atom_mask]
-        verdict = _least_in_group(next_live, next_group)
+            next_live, next_group = fixing, [mem.atom_mask]
+        next_fixing = _fixing(next_live, next_group)
+        verdict = next_fixing is not None
         assert verdict == _orbit_least(chosen + [mem], m)
         if verdict:
+            assert next_fixing == [t for t in next_live if sorted(t[x] for x in next_group) == next_group]
             chosen.append(mem)
-            live, group, group_key = next_live, next_group, key
+            live, group, fixing, group_key = next_live, next_group, next_fixing, key
