@@ -11,9 +11,10 @@ integral gives the closed form
 handled here entirely in log2 space.  The bracketed factor tends to
 sqrt(pi/(4 ln 2)) ~ 1.0645 > 1, so the bound eventually beats
 sqrt(k) * 2^(k/2); find_threshold locates the first k where it stays
-ahead.  Upper bounds come from the composed constructions: size
-2^(s+1) * 28^j at degree k = 5j+2+s, i.e. exponent (1 - eps) * k with
-eps = 1 - log2(28)/5 ~ 0.0385, improving on eps = 1 - log2(15)/4.
+ahead.  Upper bounds come from the composition law that
+constructions.CompositionPlan holds: size 2^(s+1) * 28^j at degree
+k = 5j+2+s, i.e. exponent (1 - eps) * k with eps = 1 - log2(28)/5 ~ 0.0385,
+improving on eps = 1 - log2(15)/4.
 
 The layer exponents and their sum are evaluated as numpy arrays, built
 once per k: the exponents (2.0 * i) * (k - i - 1) / (k - 1), the log2
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constructions import CompositionPlan
 from .family import CapacityError, _written
 from .saturation import _JsonDocument
 
@@ -88,7 +90,10 @@ def _erfc_continued_fraction(x: float) -> float:
     # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))));
     # modified Lentz iteration, x > 3.  Every partial numerator a is positive,
     # so c (from x) and the denominator x + a * d (d from 0) stay at least
-    # x > 0, and Lentz's guard against a zero c or d is not needed.
+    # x > 0, and Lentz's guard against a zero c or d is not needed.  Where
+    # exp(-x^2) is 0 (x > ~27.3) or NaN, so is erfc, and the loop is skipped.
+    if not (scale := math.exp(-x * x)) > 0.0:
+        return scale
     f = x
     c = x
     d = 0.0
@@ -105,7 +110,7 @@ def _erfc_continued_fraction(x: float) -> float:
             break
         if n > 10_000:
             raise RuntimeError("erfc continued fraction failed to converge; this is a defect")
-    return math.exp(-x * x) / SQRT_PI / f
+    return scale / SQRT_PI / f
 
 
 def erf_fn(x: float) -> float:
@@ -118,7 +123,7 @@ def erf_fn(x: float) -> float:
 
 
 def erfc_fn(x: float) -> float:
-    """Complementary error function, absolute error <= 1e-12."""
+    """Complementary error function, absolute error <= 1e-12 on all of R."""
     if x < 0.0:
         return 2.0 - erfc_fn(-x)
     if x <= 3.0:
@@ -287,11 +292,8 @@ class BoundReport(_JsonDocument):
 def upper_bound_report(k: int) -> BoundReport:
     """Assemble the full report for one k (k >= 2); the lower-bound side is
     populated from k = 7 on."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    plan = CompositionPlan.of(k)
     _check_terms(k // 2, f"degree {_written(k)}")
-    j, s = divmod(k - 2, 5)
-    upper_log2 = (s + 1) + j * math.log2(28.0)
     lower = {}
     if k >= 7:
         layers = _layer_bounds_log2(k)
@@ -305,8 +307,8 @@ def upper_bound_report(k: int) -> BoundReport:
             margin_166=erf_log2 - (claimed - 1.66), margin_497=erf_log2 - claimed,
         )
     return BoundReport(
-        k=k, baseline_lower_log2=k / 2.0 - 0.5, j=j, s=s, upper_log2=upper_log2,
-        eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=(1.0 - EPS_NEW) * k - upper_log2, **lower,
+        k=k, baseline_lower_log2=k / 2.0 - 0.5, j=plan.j, s=plan.s, upper_log2=plan.size_log2,
+        eps_new=EPS_NEW, eps_mns=EPS_MNS, margin_upper=(1.0 - EPS_NEW) * k - plan.size_log2, **lower,
     )
 
 

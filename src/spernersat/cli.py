@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from functools import cache
 
 from . import bounds as bounds_mod
-from .constructions import bootstrapped, compose, reduce_antichain, seven56, three_sperner, trivial_construction
+from .constructions import BLOCKS, bootstrapped, compose, reduce_antichain, trivial_construction
 from .family import (
     CapacityError,
     Family,
@@ -97,16 +97,14 @@ def cmd_construct(args) -> int:
     if args.kind in ("trivial", "bootstrap") and args.k is None:
         print(f"construct --kind {args.kind} requires --k", file=sys.stderr)
         return EXIT_USAGE
-    degree = {"three": 3, "seven56": 7}.get(args.kind)
-    if degree is not None and args.k not in (None, degree):
-        print(f"construct --kind {args.kind} builds degree {degree}, not --k {args.k}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.kind == "trivial":
+    if args.kind in BLOCKS:
+        build, degree = BLOCKS[args.kind]
+        if args.k not in (None, degree):
+            print(f"construct --kind {args.kind} builds degree {degree}, not --k {args.k}", file=sys.stderr)
+            return EXIT_USAGE
+        family = build()
+    elif args.kind == "trivial":
         family = trivial_construction(args.k)
-    elif args.kind == "three":
-        family = three_sperner()
-    elif args.kind == "seven56":
-        family = seven56()
     else:
         family, plan = bootstrapped(args.k)
         print(f"plan: j={plan.j} s={plan.s} predicted size {plan.predicted_size}",
@@ -183,16 +181,15 @@ def cmd_bounds(args) -> int:
         if args.json:
             _write_json_streamed({"schema_version": 1, "rows": []},
                                  (json.dumps(report.to_json_dict(), indent=2) for report in reports))
-        else:
-            print(_BOUNDS_HEADER)
-            for report in reports:
-                print(_bounds_row(report))
-        return EXIT_OK
-    report = bounds_mod.upper_bound_report(args.k)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+            return EXIT_OK
     else:
-        print(_BOUNDS_HEADER)
+        report = bounds_mod.upper_bound_report(args.k)
+        if args.json:
+            print(json.dumps(report.to_json_dict(), indent=2))
+            return EXIT_OK
+        reports = [report]
+    print(_BOUNDS_HEADER)
+    for report in reports:
         print(_bounds_row(report))
     return EXIT_OK
 
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="emit a built-in construction")
-    p.add_argument("--kind", choices=["trivial", "three", "seven56", "bootstrap"], required=True)
+    p.add_argument("--kind", choices=["trivial", *BLOCKS, "bootstrap"], required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import prod
+from math import log2, prod
 
 from .family import (
     H_BIT,
@@ -42,7 +42,7 @@ def trivial_construction(k: int) -> Family:
     2^(k-1)-member baseline, saturated with k layers, as the product of k-2
     copies of three_sperner().  Raises CapacityError, before building
     anything, beyond MAX_ATOMS atoms or MAX_MEMBERS members (from k = 23 on)."""
-    return _product(k, 0, k - 2)[0]
+    return _product(CompositionPlan(k, 0, k - 2))[0]
 
 
 def three_sperner() -> Family:
@@ -69,6 +69,10 @@ def seven56() -> Family:
              + [H_BIT | mask_of_atoms(s) for s in [(1, 4)] + spread])
     full = H_BIT | 0x7F
     return Family.from_keys(7, lower + [key ^ full for key in lower])
+
+
+# the fixed-degree blocks `construct --kind` emits: name -> (builder, degree)
+BLOCKS = {"three": (three_sperner, 3), "seven56": (seven56, 7)}
 
 
 def compose(*factors: Family) -> Family:
@@ -99,45 +103,54 @@ def compose(*factors: Family) -> Family:
 
 @dataclass(frozen=True)
 class CompositionPlan:
-    """Factorization k = 5j + 2 + s: the product of j seven-atom blocks and
-    s single-atom blocks, over 7j + s atoms."""
+    """The composition law: j seven56() and s three_sperner() blocks, on
+    7j + s atoms, compose to degree k = 5j + 2 + s with 2^(s+1) * 28^j members."""
 
     k: int
     j: int
     s: int
 
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+
+    @classmethod
+    def of(cls, k: int) -> CompositionPlan:
+        """bootstrapped(k)'s plan: as many seven56() blocks as fit."""
+        return cls(k, *divmod(k - 2, 5))
+
     @property
     def predicted_size(self) -> int:
         return 2 ** (self.s + 1) * 28 ** self.j
 
+    @property
+    def size_log2(self) -> float:
+        return (self.s + 1) + self.j * log2(28.0)
 
-def _product(k: int, j: int, s: int, detail: str = "") -> tuple[Family, CompositionPlan]:
-    """compose() of j copies of seven56() and s of three_sperner(), with
-    the degree-k plan (k, j, s) it realizes.  Raises ValueError for k < 2,
-    and CapacityError, before building, beyond MAX_ATOMS atoms or
-    MAX_MEMBERS members.  The atoms are compared first, so the size is only
-    formed once they fit, where it is below 2^64, and a refusal costs no
-    more than writing k and the atom count (by _written)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if (atoms := 7 * j + s) > MAX_ATOMS:
-        raise CapacityError(f"degree {_written(k)} needs {_written(atoms)} atoms "
+
+def _product(plan: CompositionPlan, detail: str = "") -> tuple[Family, CompositionPlan]:
+    """compose() of plan.j copies of seven56() and plan.s of three_sperner(),
+    with the plan.  Raises CapacityError, before building, beyond MAX_ATOMS
+    atoms or MAX_MEMBERS members.  The atoms are compared first, so the size
+    is only formed once they fit, where it is below 2^64, and a refusal
+    costs no more than writing k and the atom count (by _written)."""
+    if (atoms := 7 * plan.j + plan.s) > MAX_ATOMS:
+        raise CapacityError(f"degree {_written(plan.k)} needs {_written(atoms)} atoms "
                             f"(limit {MAX_ATOMS}){detail}")
-    plan = CompositionPlan(k, j, s)
     if (need := plan.predicted_size) > MAX_MEMBERS:
-        raise CapacityError(f"degree {k} needs {need} members (limit {MAX_MEMBERS}){detail}")
-    return compose(*[seven56()] * j, *[three_sperner()] * s), plan
+        raise CapacityError(f"degree {plan.k} needs {need} members (limit {MAX_MEMBERS}){detail}")
+    return compose(*[seven56()] * plan.j, *[three_sperner()] * plan.s), plan
 
 
 def bootstrapped(k: int) -> tuple[Family, CompositionPlan]:
-    """Best available construction for degree k: one product of j copies of
-    the 56-member system and s copies of the 4-member system.
+    """Best available construction for degree k: the product of
+    CompositionPlan.of(k), with as many 56-member systems as fit.
     For k < 7 this reproduces the power-set construction exactly.  Raises
     CapacityError, from the plan and before building anything, when the
     composed universe would exceed MAX_ATOMS atoms or the family MAX_MEMBERS
     members."""
-    j, s = divmod(k - 2, 5)
-    return _product(k, j, s, f"; plan: j={_written(j)} s={s}")
+    plan = CompositionPlan.of(k)
+    return _product(plan, f"; plan: j={_written(plan.j)} s={plan.s}")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,23 @@ def test_erf_series_lentz_crossover_is_seamless():
     assert erfc_fn(3.0 + eps) - erfc_fn(3.0 - eps) == pytest.approx(0.0, abs=1e-11)
 
 
+def test_erf_and_erfc_hold_on_all_of_r():
+    """At +-inf, at NaN and far out, where exp(-x^2) is 0 or NaN, the
+    continued fraction is skipped.  Run there, it could miss its stopping
+    test and raise after 10,000 steps: at inf, NaN and, of the finite x
+    tried, first at 379612932.76..."""
+    inf = math.inf
+    assert (erf_fn(inf), erf_fn(-inf)) == (1.0, -1.0)
+    assert (erfc_fn(inf), erfc_fn(-inf)) == (0.0, 2.0)
+    for x in (379612932.76016015, 1.7e308):
+        assert (erf_fn(x), erf_fn(-x), erfc_fn(x), erfc_fn(-x)) == (1.0, -1.0, 0.0, 2.0), x
+    assert math.isnan(erf_fn(math.nan)) and math.isnan(erfc_fn(math.nan))
+    for x in np.geomspace(8.0, 1e308, 2000).tolist():
+        for y in (x, -x):
+            assert erf_fn(y) == pytest.approx(math.erf(y), abs=1e-12), y
+            assert erfc_fn(y) == pytest.approx(math.erfc(y), abs=1e-12), y
+
+
 # -------------------------------------------------------- layer and sum
 
 def test_layer_lower_bound_fixed_values():

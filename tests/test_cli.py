@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 
 import spernersat
-from spernersat import Family, parse_family, seven56, serialize_family, three_sperner
+from spernersat import (
+    Family,
+    parse_family,
+    serialize_family,
+    seven56,
+    three_sperner,
+    verify_saturated_k_sperner,
+)
 from spernersat import cli
 from spernersat.cli import main
+from spernersat.constructions import BLOCKS
 
 
 def run(capsys, *argv):
@@ -111,6 +119,20 @@ def test_construct_of_a_fixed_degree_refuses_another_k(tmp_path, capsys):
         code, out, _ = run(capsys, "construct", "--kind", kind, "--k", str(k))
         assert code == 0
         assert parse_family(out) == family
+
+
+def test_every_block_of_the_table_is_built_and_guarded(capsys):
+    """Each row of BLOCKS: its builder's family is saturated at the row's
+    degree and at neither degree next to it, `construct --kind` writes that
+    family, and a --k one above the degree is refused."""
+    for name, (build, degree) in BLOCKS.items():
+        family = build()
+        assert verify_saturated_k_sperner(family, degree).verdict, name
+        for k in (degree - 1, degree + 1):
+            assert not verify_saturated_k_sperner(family, k).verdict, (name, k)
+        assert run(capsys, "construct", "--kind", name) == (0, serialize_family(family), "")
+        assert run(capsys, "construct", "--kind", name, "--k", str(degree + 1)) == (
+            2, "", f"construct --kind {name} builds degree {degree}, not --k {degree + 1}\n")
 
 
 def test_verify_json_schema(tmp_path, capsys):
@@ -216,6 +238,13 @@ def test_bounds_single_k_text(capsys):
     assert run(capsys, "bounds", "--k", "497") == (0, (
         "k\tbaseline_log2\tsum_lower\terf_log2\tupper_log2\tmargin_166\tmargin_497\n"
         "497\t248\t1.51645e+76\t252.979\t476.928\t1.66003\t2.6676e-05\n"), "")
+
+
+def test_bounds_single_k_text_is_the_one_row_table(capsys):
+    for k in (2, 7, 2000):
+        single = run(capsys, "bounds", "--k", str(k))
+        assert single == run(capsys, "bounds", "--table", f"{k}..{k}"), k
+        assert single[0] == 0 and single[1].count("\n") == 2, k
 
 
 def test_bounds_sum_lower_log2_is_the_sequential_sum(capsys):

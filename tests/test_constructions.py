@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spernersat import (
     EPS_NEW,
     CapacityError,
+    CompositionPlan,
     Family,
     Member,
     ReductionTrace,
@@ -31,6 +32,7 @@ from spernersat import (
     seven56,
     three_sperner,
     trivial_construction,
+    upper_bound_report,
     verify_saturated_k_sperner,
 )
 from helpers import (
@@ -366,6 +368,25 @@ def test_bootstrapped_member_cap_is_checked_from_the_plan(monkeypatch):
     # k = 22 (1,229,312 members) is still under the cap, so it gets built
     with pytest.raises(Composed):
         bootstrapped(22)
+
+
+def test_one_plan_serves_bounds_and_bootstrapped(monkeypatch):
+    """upper_bound_report and bootstrapped read the same CompositionPlan, and
+    a report's j, s and upper_log2 are the law's closed form, to the bit."""
+    import spernersat.constructions as constructions_mod
+
+    for k in [*range(2, 5001), 10 ** 6, 4_000_001]:
+        report = upper_bound_report(k)
+        j, s = divmod(k - 2, 5)
+        assert (report.j, report.s) == (j, s), k
+        assert report.upper_log2 == (s + 1) + j * math.log2(28.0), k
+    # the plan is returned beside the product, which need not be built
+    monkeypatch.setattr(constructions_mod, "compose", lambda *factors: None)
+    for k in range(2, 23):
+        assert bootstrapped(k) == (None, CompositionPlan.of(k)), k
+    for make in (lambda: CompositionPlan.of(1), lambda: CompositionPlan(1, 0, -1)):
+        with pytest.raises(ValueError, match=r"^k must be >= 2$"):
+            make()
 
 
 GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
