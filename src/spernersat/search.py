@@ -60,11 +60,12 @@ which is cover[i].
 
 Roots below the size and atom floors of _floors are never expanded: no
 family there is accepted (the argument is at _floors).  Above them, a
-candidate is turned down before the orbit check when no leaf below it can
-have 1 and 2, so _accepted decides the same leaves in the same order as
-when every leaf of those roots was built and checked for 1 and 2.  As a
-chosen member's depth is final, with forcing on and k >= 3 (the empty set
-alone at depth 1, so every singleton small sits at depth 2):
+candidate is turned down before the orbit check when no leaf below it has
+1 and 2 and is accepted, so the search reaches the same first accepted
+leaf as when every leaf of those roots was built and checked; only
+subtrees with no accepted leaf are dropped.  As a chosen member's depth
+is final, with forcing on and k >= 3 (the empty set alone at depth 1, so
+every singleton small sits at depth 2):
   (a) a small of two atoms or more at depth 2 puts a non-singleton small in
       layer 1;
   (b) a second large at depth 2 puts two larges in layer 1;
@@ -73,18 +74,29 @@ alone at depth 1, so every singleton small sits at depth 2):
       later candidate can give layer 1 its k-2 smalls, and the candidate
       loop ends;
 and under every setting
-  (d) each appended member raises the largest depth by at most 1, so a
-      candidate whose depth (or the chosen members' largest) plus the
-      members still to append after it stays below the depth limit (k-1
-      under forcing, where the full set adds the last level, k otherwise)
-      leaves every leaf below it with the wrong layer count.
-The chosen singletons and whether a depth-2 large is chosen travel with the
-depth-first stack.  Every leaf then has 1, by (d) and the chain prune, and
-all of 2 but "exactly one large": under forcing with k >= 3 the forced top
-sits at depth k, (a) leaves only singleton smalls at depth 2, (b) at most
-one large, and by (c) a leaf holds k-2 singletons before any other member,
-or only singletons, size-2 >= 3k-7 >= k-2 of them.  So a leaf without a
-depth-2 large is the one shape prune left.
+  (d) a member covers atom subsets only in its own layer, so each layer up
+      to the chosen members' largest depth whose cover entry is not full
+      needs at least one later member of that depth, and each depth from
+      there up to the depth limit (k-1 under forcing, where the full set
+      adds the last level, k otherwise) needs one too.  These members sit
+      at distinct depths, so they are distinct, and a candidate is turned
+      down when the members still to append after it are fewer than
+      holes' + (depth limit - height'), holes' being the layers up to
+      height', the largest depth once it is appended, that still have a
+      hole.  With no hole this is the layer-count rule: each appended
+      member raises the largest depth by at most 1.
+The chosen singletons, whether a depth-2 large is chosen and the number
+of layers up to the largest depth that have a hole travel with the
+depth-first stack; a candidate's depth is at most the largest + 1, so it
+updates that number in O(1) from its own layer's entry.  Every leaf the
+search reaches is then accepted: by (d) and the chain prune its largest
+depth is the depth limit and every layer is full, which is _accepted's
+verdict.  It also has all of 2: under forcing with k >= 3 the forced top sits at
+depth k, (a) leaves only singleton smalls at depth 2, (b) at most one
+large, and by (c) a leaf holds k-2 singletons before any other member, or
+only singletons, size-2 >= 3k-7 >= k-2 of them; and a full layer 1 covers
+the empty atom set, which among depth-2 members only a large covers.  So
+no leaf is turned down for its shape.
 
 A FOUND family, the only Family the search builds, is re-verified from
 scratch by verify_saturated_k_sperner.  NONE_WITHIN_BOUNDS is only emitted
@@ -145,8 +157,9 @@ class Certificate:
 class SearchCounts:
     """Where the candidates went.  Every candidate tried becomes a node or
     exactly one of the chain, orbit, singleton, reach and layer-1 prunes
-    (a singleton prune also ends its candidate loop); every leaf node
-    becomes a shape prune or a verified leaf."""
+    (a singleton prune also ends its candidate loop); every leaf node is a
+    verified leaf, which the candidate rules make an accepted one, so
+    shape_prunes stays 0."""
 
     candidates: int = 0
     chain_prunes: int = 0
@@ -239,7 +252,8 @@ def _candidate_rejection(kind, depth: int, reach: int, singletons: int, large2: 
     candidate of this kind (H flag, atom count) and carried depth, or None
     when the orbit check has to decide.  reach is the larger of its depth
     and the chosen members' largest, plus the members still to append after
-    it; singletons counts the chosen singleton smalls, large2 says whether
+    it, minus the layers up to that depth that have a hole once it is
+    appended; singletons counts the chosen singleton smalls, large2 says whether
     a depth-2 large is chosen, shaped whether leaves need the forced layer-1
     shape, and depth_limit is rule (d)'s.  Below a turned-down candidate no
     leaf has 1 and 2 of the module docstring (by its rules (a)-(d)), and
@@ -299,20 +313,18 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     tally = dict.fromkeys((f.name for f in fields(SearchCounts)), 0)
     space = cache(partial(_space, force=force))
 
-    def dfs(start, live, group, fixing, group_kind, singletons, large2, height):
+    def dfs(start, live, group, fixing, group_kind, singletons, large2, height, holes):
         # Extends keys, cover and above (every member but the forced top)
         # from pool[start:]; live, group, group_kind and fixing (live's
         # tables that fix group) are the orbit check's state, singletons and
-        # large2 _candidate_rejection's, height the chosen members' largest depth.
+        # large2 _candidate_rejection's, height the chosen members' largest
+        # depth and holes the number of cover[:height] entries that are not full.
         # Returns the keys of the first accepted leaf, or None.
         nonlocal nodes
         nodes += 1
         if nodes > bounds.budget:
             raise _Budget()
         if len(keys) == need:
-            if shaped and not large2:
-                tally["shape_prunes"] += 1
-                return None
             tally["leaves_verified"] += 1
             return _accepted(m, keys + top, cover[:height] + [full] * len(top), k)
         after = need - len(keys) - 1  # members still to append after a candidate
@@ -322,7 +334,9 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             point, depth = mask | kind[0] << m, 1
             while above[depth - 1] >> point & 1:  # above[height] is empty
                 depth += 1
-            reason = _candidate_rejection(kind, depth, max(height, depth) + after,
+            held, held_above = cover[depth - 1], above[depth - 1]  # 0, 0 at depth height + 1
+            next_holes = holes - (depth <= height and held != full) + (held | covered != full)
+            reason = _candidate_rejection(kind, depth, max(height, depth) + after - next_holes,
                                           singletons, large2, k, shaped, depth_limit)
             if reason is not None:
                 tally[reason] += 1
@@ -337,10 +351,9 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 tally["orbit_prunes"] += 1
                 continue
             keys.append(key)
-            held, held_above = cover[depth - 1], above[depth - 1]
             cover[depth - 1], above[depth - 1] = held | covered, held_above | up
             found = dfs(idx + 1, next_live, next_group, next_fixing, kind, singletons + (kind == (False, 1)),
-                        large2 or (kind[0] and depth == 2), max(height, depth))
+                        large2 or (kind[0] and depth == 2), max(height, depth), next_holes)
             keys.pop()
             cover[depth - 1], above[depth - 1] = held, held_above
             if found is not None:
@@ -362,7 +375,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 # above[i]: the points that contain one of them
                 cover = [full] * len(bottom) + [0] * need
                 above = [(1 << (2 << m)) - 1] * len(bottom) + [0] * need
-                found = dfs(0, tables, [], tables, None, 0, False, len(bottom))
+                found = dfs(0, tables, [], tables, None, 0, False, len(bottom), 0)
                 if found is not None:
                     family = Family.from_keys(m, found)
                     if not verify_saturated_k_sperner(family, k).verdict:

@@ -348,8 +348,8 @@ def test_search_none_and_budget(capsys):
     assert "outcome: NONE_WITHIN_BOUNDS" in out
     assert "exhaustive for k=3" in out
 
-    code, out, _ = run(capsys, "search", "--k", "4", "--max-atoms", "3",
-                       "--max-size", "7", "--budget", "50")
+    code, out, _ = run(capsys, "search", "--k", "5", "--max-atoms", "4",
+                       "--max-size", "10", "--budget", "50")
     assert code == 4
     assert "outcome: BUDGET_EXHAUSTED" in out
 
@@ -372,22 +372,23 @@ def test_search_stats_go_to_stderr_after_the_output(tmp_path, capsys):
 
 
 def test_search_stats_on_an_exhausted_budget(capsys):
-    argv = ("search", "--k", "4", "--max-atoms", "3", "--max-size", "7", "--budget", "50")
+    argv = ("search", "--k", "5", "--max-atoms", "4", "--max-size", "10", "--budget", "50")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (4, "")
     assert run(capsys, *argv, "--stats") == (4, out, (
-        "candidates: 86\nchain_prunes: 12\norbit_prunes: 24\n"
-        "shape_prunes: 16\nleaves_verified: 12\nsingleton_prunes: 1\nreach_prunes: 0\n"
+        "candidates: 338\nchain_prunes: 0\norbit_prunes: 44\n"
+        "shape_prunes: 0\nleaves_verified: 0\nsingleton_prunes: 3\nreach_prunes: 242\n"
         "layer1_prunes: 0\n"))
 
 
 def test_search_stats_on_an_exhausted_box(capsys):
-    """A box whose 3,559 leaves are all decided and none accepted."""
+    """A box with no accepted leaf: the candidate rules turn down every
+    subtree before it reaches a leaf, so no leaf is decided."""
     assert run(capsys, "search", "--k", "5", "--max-atoms", "4", "--max-size", "10", "--stats") == (1, (
-        "outcome: NONE_WITHIN_BOUNDS (nodes expanded: 13247)\n"
+        "outcome: NONE_WITHIN_BOUNDS (nodes expanded: 196)\n"
         "exhaustive for k=5, atoms<=4, size<=10, structural forcing on\n"), (
-        "candidates: 18847\nchain_prunes: 1685\norbit_prunes: 2404\n"
-        "shape_prunes: 6386\nleaves_verified: 3559\nsingleton_prunes: 6\nreach_prunes: 1507\n"
+        "candidates: 1423\nchain_prunes: 23\norbit_prunes: 124\n"
+        "shape_prunes: 0\nleaves_verified: 0\nsingleton_prunes: 6\nreach_prunes: 1076\n"
         "layer1_prunes: 0\n"))
 
 

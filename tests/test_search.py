@@ -158,10 +158,20 @@ def test_degree_three_minimum_is_the_powerset():
     assert canonical_form(result.family) == canonical_form(three_sperner())
 
 
+def test_five_atoms_hold_no_degree_five_system_of_size_twelve():
+    """An exact answer no solver is needed for: under forcing, no saturated
+    5-Sperner system of at most 12 members lives on at most 5 atoms."""
+    result = search_min(SearchBounds(k=5, max_atoms=5, max_size=12))
+    assert (result.outcome, result.family, result.nodes) == (NONE_WITHIN_BOUNDS, None, 67323)
+    assert result.counts == SearchCounts(692143, 70081, 18264, 0, 0, 27, 536337, 120)
+    cert = result.certificate
+    assert (cert.k, cert.max_atoms, cert.max_size, cert.forced) == (5, 5, 12, True)
+
+
 def test_degree_four_has_nothing_small():
     result = search_min(SearchBounds(k=4, max_atoms=3, max_size=7))
     assert result.outcome == NONE_WITHIN_BOUNDS
-    assert result.nodes == 117
+    assert result.nodes == 25
     assert result.certificate.forced
 
 
@@ -179,6 +189,31 @@ def test_a_box_below_a_floor_expands_no_node(k, max_atoms, max_size, forcing):
     assert (cert.k, cert.max_atoms, cert.max_size, cert.forced) == (k, max_atoms, max_size, forcing)
 
 
+# SHA-256 of serialize_family(result.family) for each box, as the search
+# found it with the layer-count rule alone: the hole rule drops only subtrees
+# with no accepted leaf, so the first accepted leaf stays the same.
+_FOUND_DIGESTS = {
+    (1, 2, 2, True): "64a373ac25a0381fb6129e46c7fd0c7ac89ee234bc74cfeb2d09b4b87da30148",
+    (2, 2, 4, True): "5490b3bef15674faae7b63719b853bc7b1f2720dad63b6ca128f692f706a6500",
+    (3, 2, 4, True): "09aa496678d213c0a78e77228680bc5c0821c7d8f038f45a336c4f77edb7d8b4",
+    (3, 3, 6, True): "09aa496678d213c0a78e77228680bc5c0821c7d8f038f45a336c4f77edb7d8b4",
+    (4, 3, 8, True): "955f40e564fc6c1372c4556df4d8b0022066ffbe1d65aaff4e0ff4ff2da78308",
+    (4, 4, 8, True): "955f40e564fc6c1372c4556df4d8b0022066ffbe1d65aaff4e0ff4ff2da78308",
+    (5, 3, 16, True): "18f35c416ba6034b0d8254cb8f1814f5ca6bd9183a20af72585764cb7da3c2ef",
+    (5, 4, 16, True): "18f35c416ba6034b0d8254cb8f1814f5ca6bd9183a20af72585764cb7da3c2ef",
+    (3, 3, 6, False): "09aa496678d213c0a78e77228680bc5c0821c7d8f038f45a336c4f77edb7d8b4",
+    (4, 4, 8, False): "955f40e564fc6c1372c4556df4d8b0022066ffbe1d65aaff4e0ff4ff2da78308",
+}
+
+
+@pytest.mark.parametrize("k, max_atoms, max_size, forcing", list(_FOUND_DIGESTS))
+def test_the_search_finds_the_pinned_family(k, max_atoms, max_size, forcing):
+    result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
+    assert result.outcome == FOUND
+    digest = hashlib.sha256(serialize_family(result.family).encode()).hexdigest()
+    assert digest == _FOUND_DIGESTS[k, max_atoms, max_size, forcing]
+
+
 def test_found_families_pass_the_concrete_oracle():
     for k, ma, ms in ((1, 1, 2), (2, 2, 4), (3, 2, 4)):
         result = search_min(SearchBounds(k=k, max_atoms=ma, max_size=ms))
@@ -189,7 +224,7 @@ def test_found_families_pass_the_concrete_oracle():
 # ---------------------------------------------------------------- budget
 
 def test_budget_exhaustion():
-    result = search_min(SearchBounds(k=4, max_atoms=3, max_size=7, budget=50))
+    result = search_min(SearchBounds(k=5, max_atoms=4, max_size=10, budget=50))
     assert result.outcome == BUDGET_EXHAUSTED
     assert result.nodes == 51
     assert result.family is None
@@ -347,9 +382,9 @@ def _roots(bounds, forcing, found=None):
 # candidates, chain, orbit, layer-count and shape prunes, leaves verified,
 # singleton, reach and layer-1 prunes
 _PINNED_COUNTS = {
-    (4, 4, 8, True): SearchCounts(1313, 330, 285, 230, 284, 5, 1, 14),
+    (4, 4, 8, True): SearchCounts(358, 49, 24, 0, 1, 5, 224, 1),
     (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0, 0),
-    (5, 3, 15, True): SearchCounts(1169, 0, 250, 144, 183, 15, 18, 0),
+    (5, 3, 15, True): SearchCounts(624, 0, 98, 0, 0, 15, 233, 0),
     (3, 3, 8, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
     (3, 4, 6, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
 }
@@ -357,9 +392,9 @@ _PINNED_COUNTS = {
 
 # outcome, nodes and found size of each pinned box, kept out of the test ids
 _PINNED_TREES = {
-    (4, 4, 8, True): (FOUND, 682, 8),
+    (4, 4, 8, True): (FOUND, 59, 8),
     (6, 3, 20, True): (NONE_WITHIN_BOUNDS, 0, None),
-    (5, 3, 15, True): (NONE_WITHIN_BOUNDS, 892, None),
+    (5, 3, 15, True): (NONE_WITHIN_BOUNDS, 284, None),
     (3, 3, 8, False): (FOUND, 5, 4),
     (3, 4, 6, False): (FOUND, 5, 4),
 }
@@ -383,9 +418,9 @@ def test_free_search_expands_the_pinned_tree():
     candidates, and every leaf goes to the verifier."""
     bounds = SearchBounds(k=4, max_atoms=3, max_size=8)
     result = search_min(bounds, forcing=False)
-    assert (result.outcome, result.nodes, result.family.size) == (FOUND, 3752, 8)
+    assert (result.outcome, result.nodes, result.family.size) == (FOUND, 243, 8)
     c = result.counts
-    assert c == SearchCounts(6232, 211, 561, 0, 1521, 0, 1713, 0)
+    assert c == SearchCounts(864, 0, 85, 0, 1, 0, 541, 0)
     assert result.nodes == _roots(bounds, False, result.family) + c.candidates - _candidate_prunes(c)
 
 
@@ -403,12 +438,22 @@ def _floors(k, forcing):
     return max(1, 2 * k - 2), max(0, k - 2)
 
 
+@pytest.mark.parametrize("k, max_atoms, max_size, forcing",
+                         [*_PINNED_TREES, (4, 3, 8, False), (5, 4, 10, True)])
+def test_every_reached_leaf_is_accepted(k, max_atoms, max_size, forcing):
+    """The candidate rules leave no leaf that is turned down: none for its
+    shape, and only the found family's leaf reaches _accepted."""
+    result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
+    assert result.counts.shape_prunes == 0
+    assert result.counts.leaves_verified == (result.outcome == FOUND)
+
+
 def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
     """Every family the pinned boxes send to the verifier, in order, minus
-    those below the floors: a pruning rule may drop a leaf only where no
-    family can be accepted.  Leaves go to _accepted with their carried
+    those below the floors.  Leaves go to _accepted with their carried
     coverage tables, and a FOUND family to verify_saturated_k_sperner once
-    more."""
+    more; the candidate rules leave only accepted leaves, so each FOUND box
+    sends its family twice and every other box nothing."""
     sent = []
 
     def recording(family, k):
@@ -431,8 +476,8 @@ def test_the_verifier_sees_the_pinned_leaves(monkeypatch):
             if family.size >= size_floor and family.m >= atom_floor:
                 digest.update(f"{degree} {serialize_family(family)}".encode())
                 kept += 1
-    assert kept == 472
-    assert digest.hexdigest() == "699aa57aedac0d54bdc2f6cf0c7a2adb571d06c2faecf6b6d297f6a7a39e4406"
+    assert kept == 6
+    assert digest.hexdigest() == "db69f31a49018c64ac0ee0381170bdf9b0d11bef461ab2da8464e61bd845aa17"
 
 
 @pytest.mark.parametrize("k, max_atoms, max_size, built", [
@@ -457,11 +502,11 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
                         lambda *args: verified.append(args) or _accepted(*args))
     bounds = SearchBounds(k=4, max_atoms=4, max_size=8)
     result = search_min(bounds)
-    assert result.nodes == 682
+    assert result.nodes == 59
     c = result.counts
-    assert c == SearchCounts(candidates=1313, chain_prunes=330, orbit_prunes=285,
-                             shape_prunes=230, leaves_verified=284, singleton_prunes=5,
-                             reach_prunes=1, layer1_prunes=14)
+    assert c == SearchCounts(candidates=358, chain_prunes=49, orbit_prunes=24,
+                             shape_prunes=0, leaves_verified=1, singleton_prunes=5,
+                             reach_prunes=224, layer1_prunes=1)
     # every candidate tried is a node or exactly one prune
     assert result.nodes == _roots(bounds, True, result.family) + c.candidates - _candidate_prunes(c)
     # every verified leaf goes to the verifier once
@@ -580,7 +625,7 @@ def test_every_leaf_gets_its_layer_covers_and_the_verifier_verdict(monkeypatch):
     for k, max_atoms, max_size, forcing in [*_PINNED_COUNTS, (4, 3, 8, False)]:
         result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
         verified += result.counts.leaves_verified
-    assert leaves == verified == 284 + 183 + 1 + 1 + 1521
+    assert leaves == verified == 1 + 0 + 1 + 1 + 1
 
 
 def _accepted_shape(keys, k, forcing):
@@ -600,7 +645,7 @@ def _accepted_shape(keys, k, forcing):
 
 @st.composite
 def _partial_states(draw):
-    """(k, forcing, pool, top, chosen, idx, after): the packed keys of
+    """(k, forcing, m, pool, top, chosen, idx, after): the packed keys of
     members chosen in canonical order from the search's (key, atom mask,
     group) pool on m <= 3 atoms (after the forced bottom), the index of the
     next candidate, and how many members a leaf holds after it, the forced
@@ -613,27 +658,60 @@ def _partial_states(draw):
     idx = draw(st.integers(0, len(pool) - 1))
     picks = [i for i in range(idx) if draw(st.booleans())]
     after = draw(st.integers(0, min(5, len(pool) - idx - 1)))
-    return k, forcing, pool, top, bottom + [pool[i][0] for i in picks], idx, after
+    return k, forcing, m, pool, top, bottom + [pool[i][0] for i in picks], idx, after
 
 
 def _state(m, k, chosen, candidate, after):
     """A forced partial state as _partial_states draws it, from packed keys."""
     pool, _, bottom, top = search_mod._space(m, True)
     idx = [key for key, *_ in pool].index(candidate)
-    return k, True, pool, top, bottom + chosen, idx, after
+    return k, True, m, pool, top, bottom + chosen, idx, after
+
+
+def _hole_reach(m, chosen, key, after):
+    """The reach the search passes for appending key to the packed keys
+    chosen (the forced bottom included, the forced top not): the largest
+    depth once key is appended, plus the members still to append after it,
+    minus the layers up to that depth whose carried cover table has a hole."""
+    keys = chosen + [key]
+    depths = member_depths(keys).tolist()
+    full = (1 << (1 << m)) - 1
+    # forced=False: keys hold no forced top, and the bottom's table is full either way
+    return max(depths) + after - sum(c != full for c in _carried_covers(m, False, keys, depths))
+
+
+# Forced, k = 4, two atoms: the singleton {1} alone at depth 2 with one member
+# to follow.  Its depth plus that member reaches the depth limit 3, but layer
+# 1 still has a hole and depth 3 is empty, and one member cannot fill both.
+_HOLE_STATE = _state(2, 4, [], 0b01, 1)
+
+
+def test_the_hole_rule_fires_where_the_layer_count_does_not():
+    k, forcing, m, pool, top, chosen, idx, after = _HOLE_STATE
+    key, _, kind, *_ = pool[idx]
+    depth, depth_limit = int(member_depths(chosen + [key])[-1]), k - 1
+    layer_count_reach = depth + after
+    assert layer_count_reach >= depth_limit
+    assert _candidate_rejection(kind, depth, layer_count_reach, 0, False, k, True, depth_limit) is None
+    reach = _hole_reach(m, chosen, key, after)
+    assert reach < depth_limit
+    assert _candidate_rejection(kind, depth, reach, 0, False, k, True, depth_limit) == "reach_prunes"
 
 
 # Random states seldom reach a layer-1 prune, so rules (a) and (b) also get
-# one state each: {2,3} after the singleton {1}, and H+{3} after H+{2}.
+# one state each: {2,3} after the singleton {1}, and H+{3} after H+{2}; and
+# the hole rule gets _HOLE_STATE, where the layer count alone keeps the candidate.
 @settings(max_examples=300, deadline=None)
 @given(_partial_states())
 @example(_state(3, 3, [0b001], 0b110, 1))
 @example(_state(3, 3, [0b001, H_BIT | 0b010], H_BIT | 0b100, 1))
+@example(_HOLE_STATE)
 def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     """Whenever a candidate-level test fires, no completion below it (for a
-    singleton prune, below every later candidate too) has the shape of an
-    accepted family, whether or not the search would reach the state."""
-    k, forcing, pool, top, chosen, idx, after = state
+    singleton prune, below every later candidate too) is accepted: none has
+    the shape of an accepted family and the verifier's true verdict, whether
+    or not the search would reach the state."""
+    k, forcing, m, pool, top, chosen, idx, after = state
     depths = member_depths(chosen).tolist()
     singletons = sum(key < H_BIT and key.bit_count() == 1 for key in chosen)
     large2 = any(key >= H_BIT and d == 2 for key, d in zip(chosen, depths))
@@ -641,7 +719,7 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
     def rejection(j):
         key, _, kind, *_ = pool[j]
         depth = int(member_depths(chosen + [key])[-1])
-        return _candidate_rejection(kind, depth, max(depths + [depth]) + after, singletons, large2,
+        return _candidate_rejection(kind, depth, _hole_reach(m, chosen, key, after), singletons, large2,
                                     k, forcing and k >= 3, k - 1 if forcing and k >= 2 else k)
 
     reason = rejection(idx)
@@ -656,7 +734,9 @@ def test_candidate_rules_turn_down_only_rejected_subtrees(state):
                        for rest in combinations([key for key, *_ in pool[idx + 1:]], after))
     for completion in completions:
         keys = chosen + list(completion) + top
-        assert not _accepted_shape(keys, k, forcing), (reason, [hex(key) for key in keys])
+        assert not (_accepted_shape(keys, k, forcing)
+                    and verify_saturated_k_sperner(Family.from_keys(m, keys), k).verdict), \
+            (reason, [hex(key) for key in keys])
 
 
 def _relabel(mask, perm):
