@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice, repeat
-from operator import eq
+from operator import eq, or_
 
 import numpy as np
 
-from .lattice import INT_BITS, SCAN_MAX_ATOMS, closure, contains, pack
+from .lattice import INT_BITS, SCAN_MAX_ATOMS, depths
 
 MAX_ATOMS = 62
 H_BIT = 1 << MAX_ATOMS  # the bit of a packed key that stands for H
@@ -206,13 +206,11 @@ def is_antichain(f: Family) -> bool:
 
 
 def _lattice_keys(keys):
-    """(bits, keys): the packed keys squeezed onto the bits they use, so
+    """(keys, bits): the packed keys squeezed onto the bits they use, so
     that a member properly contains another exactly when its key is a
     proper bit-superset.  Keys are ints when their lattice is one int
     (INT_BITS), else an int64 array."""
-    used = 0
-    for key in keys:
-        used |= key
+    used = reduce(or_, keys, 0)
     atoms = (used & ~H_BIT).bit_count()
     if atoms > SCAN_MAX_ATOMS:
         raise CapacityError(f"members use {atoms} atoms, more than the {SCAN_MAX_ATOMS} "
@@ -229,42 +227,26 @@ def _lattice_keys(keys):
 
     bits = used.bit_count()
     if bits <= INT_BITS:
-        return bits, [squeeze(key) for key in keys]
-    return bits, squeeze(np.array(keys, dtype=np.int64))
+        return [squeeze(key) for key in keys], bits
+    return squeeze(np.array(keys, dtype=np.int64)), bits
 
 
 def member_depths(keys) -> np.ndarray:
     """depth[i] = number of members on the longest chain ending at the
     member whose packed key is keys[i].
 
-    Keys must be duplicate-free.  Levels are peeled on the subset lattice
-    of the keys: A_1 is every member, and A_{d+1} the members of A_d that
-    properly contain a member of A_d, the ones its strict up-closure holds.
-    A member's depth is the number of levels it is in.  Raises
-    CapacityError, before building any table, when the members use more
-    than SCAN_MAX_ATOMS atoms."""
-    bits, keys = _lattice_keys(keys)
-    level = pack(keys, bits)
-    if bits <= INT_BITS:
-        width = ((1 << bits) + 7) >> 3
-        depth = [0] * len(keys)
-        while level:
-            held = level.to_bytes(width, "little")
-            depth = [d + (held[key >> 3] >> (key & 7) & 1) for d, key in zip(depth, keys)]
-            level &= closure(level, bits, upward=True, strict=True)
-        return np.array(depth, dtype=np.int64)
-    depth = np.zeros(len(keys), dtype=np.int64)
-    while (hits := contains(level, keys)).any():
-        depth += hits
-        level &= closure(level, bits, upward=True, strict=True)
-    return depth
+    Keys must be duplicate-free.  A member properly contains another
+    exactly when its squeezed key is a proper bit-superset, so the depths
+    are lattice.depths of the squeezed keys.  Raises CapacityError, before
+    building any table, when the members use more than SCAN_MAX_ATOMS atoms."""
+    return depths(*_lattice_keys(keys))
 
 
-def _depth_layers(keys, depths) -> list[list[int]]:
+def _depth_layers(keys, key_depths) -> list[list[int]]:
     """The keys grouped by depth, in their given order: layer i holds the
     keys of depth i+1, and there are as many layers as the largest depth."""
-    layers = [[] for _ in range(max(depths, default=0))]
-    for key, d in zip(keys, depths):
+    layers = [[] for _ in range(max(key_depths, default=0))]
+    for key, d in zip(keys, key_depths):
         layers[d - 1].append(key)
     return layers
 

@@ -1,4 +1,14 @@
-"""Bit-packed subset lattices: the verifier's one closure kernel.
+"""Bit-packed subset lattices: the verifier's one closure kernel, and the
+two rules the package reads through it.
+
+- cover(smalls, larges, m): the points that contain a small or lie inside
+  a large, the up-closure of the smalls OR the down-closure of the larges.
+  A layer is saturated when its cover holds every point (first_hole finds
+  none), and cover distributes over union, so a layer's table is the OR of
+  its members' own.
+- depths(points, m): each point's depth, the number of given points on the
+  longest chain of them ending at it, by peeling levels: level 1 is every
+  point, level d+1 the points of level d that its strict up-closure holds.
 
 The subsets of m bits form a table of 2^m points, point T standing for the
 subset with mask T.  A table of at most 2^INT_BITS points is one Python
@@ -72,11 +82,6 @@ def pack(points, m: int):
     return table
 
 
-def contains(table: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per point of an int64 array, 1 where the word table holds it, else 0."""
-    return ((table[points >> WORD_BITS] >> (points & 63).astype(np.uint64)) & 1).astype(np.int64)
-
-
 def closure(table, m: int, upward: bool, strict: bool = False):
     """The closure of a table over m bits: T is set iff the table holds a
     subset of T (upward) or a superset of T (downward).  With strict, the
@@ -109,6 +114,38 @@ def closure(table, m: int, upward: bool, strict: bool = False):
             proper.reshape(view.shape)[:, hi] |= view[:, lo]
         view[:, hi] |= view[:, lo]
     return proper if strict else table
+
+
+def cover(smalls, larges, m: int):
+    """The table over m bits holding the points that contain a point of
+    smalls or lie inside one of larges; an empty side builds no table."""
+    if not smalls:
+        return closure(pack(larges, m), m, upward=False) if larges else pack((), m)
+    table = closure(pack(smalls, m), m, upward=True)
+    if larges:
+        # in place on word tables: no third 2^m-bit table at once
+        table |= closure(pack(larges, m), m, upward=False)
+    return table
+
+
+def depths(points, m: int) -> np.ndarray:
+    """depth[i]: the number of points on the longest chain of the given
+    points, by bit inclusion, ending at points[i].  The points are
+    duplicate-free ints when the table is one int (m <= INT_BITS), else an
+    int64 array.  A point's depth is the number of peeled levels it is in."""
+    level = pack(points, m)
+    if m <= INT_BITS:
+        depth = [0] * len(points)
+        while level:
+            held = level.to_bytes(((1 << m) + 7) >> 3, "little")
+            depth = [d + (held[p >> 3] >> (p & 7) & 1) for d, p in zip(depth, points)]
+            level &= closure(level, m, upward=True, strict=True)
+        return np.array(depth, dtype=np.int64)
+    depth = np.zeros(len(points), dtype=np.int64)
+    while (held := level[points >> WORD_BITS] >> (points & 63).astype(np.uint64) & 1).any():
+        depth += held.astype(np.int64)
+        level &= closure(level, m, upward=True, strict=True)
+    return depth
 
 
 def first_hole(table, m: int) -> int | None:

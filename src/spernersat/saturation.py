@@ -39,7 +39,7 @@ from .family import (
     atoms_of_mask,
     member_depths,
 )
-from .lattice import SCAN_MAX_ATOMS, closure, first_hole, pack
+from .lattice import SCAN_MAX_ATOMS, cover, first_hole
 
 # 2^n oracle tables stay tractable up to here.
 ORACLE_MAX_GROUND = 24
@@ -48,9 +48,7 @@ ORACLE_MAX_GROUND = 24
 def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None:
     """Mask of the first atom subset of m atoms, in canonical order, that
     contains no mask of smalls and fits inside no mask of larges, or None."""
-    covered = closure(pack(smalls, m), m, upward=True)
-    covered |= closure(pack(larges, m), m, upward=False)
-    return first_hole(covered, m)
+    return first_hole(cover(smalls, larges, m), m)
 
 
 WRONG_LAYER_COUNT = "WRONG_LAYER_COUNT"

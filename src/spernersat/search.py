@@ -41,22 +41,18 @@ A complete candidate (a leaf) must have what every accepted family has:
      members (the verifier's layer 1): singleton smalls, at least k-2 of
      them, exactly one large.
 A leaf that has them is decided by _accepted from coverage tables that
-travel with the depth-first stack; the verifier is not called.  A small
-covers the atom subsets that contain its mask, a large those inside its
-mask, and each pool candidate carries that table, the up- or down-closure
-of its atom mask; the forced bottom and top cover every subset.  The stack
-keeps cover[i], the OR of the tables of the chosen members of depth i+1:
-appending a member ORs its table into its depth's entry, and popping it
-puts the old entry back.  The leaf is accepted iff its largest depth, plus
-1 for the forced top, is k and every cover[i] up to the largest depth
-holds every subset; the forced top, whose key holds every other member's,
-is alone in its layer and covers every subset.  This is
-verify_saturated_k_sperner's verdict.  Its layers are the members of
-equal depth, and the carried depths are its depths.  It scans layer i
-through closure(smalls, upward) | closure(larges, downward) and accepts
-iff first_hole finds no hole in any layer.  Closure distributes over
-union, so that table is the OR of the layer's members' own closures,
-which is cover[i].
+travel with the depth-first stack; the verifier is not called.  Each pool
+candidate carries lattice.cover of itself alone, and the forced bottom and
+top cover every subset.  The stack keeps covers[i], the OR of the tables of
+the chosen members of depth i+1: appending a member ORs its table into its
+depth's entry, and popping it puts the old entry back.  The leaf is
+accepted iff its largest depth, plus 1 for the forced top, is k and every
+covers[i] up to the largest depth holds every subset.  This is
+verify_saturated_k_sperner's verdict: its layers are the members of equal
+depth (the carried depths are its depths; the forced top, whose key holds
+every other member's, is alone in its layer), and it accepts iff the
+lattice.cover of no layer has a hole.  A layer's cover is the OR of its
+members' own, which is covers[i].
 
 Roots below the size and atom floors of _floors are never expanded: no
 family there is accepted (the argument is at _floors).  Above them, a
@@ -75,7 +71,7 @@ every singleton small sits at depth 2):
       loop ends;
 and under every setting
   (d) a member covers atom subsets only in its own layer, so each layer up
-      to the chosen members' largest depth whose cover entry is not full
+      to the chosen members' largest depth whose entry in covers is not full
       needs at least one later member of that depth, and each depth from
       there up to the depth limit (k-1 under forcing, where the full set
       adds the last level, k otherwise) needs one too.  These members sit
@@ -114,7 +110,7 @@ import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
 from .family import H_BIT, CapacityError, Family, member_depths  # noqa: F401
-from .lattice import closure, pack
+from .lattice import cover
 from .saturation import verify_saturated_k_sperner
 
 FOUND = "FOUND"
@@ -158,13 +154,11 @@ class SearchCounts:
     """Where the candidates went.  Every candidate tried becomes a node or
     exactly one of the chain, orbit, singleton, reach and layer-1 prunes
     (a singleton prune also ends its candidate loop); every leaf node is a
-    verified leaf, which the candidate rules make an accepted one, so
-    shape_prunes stays 0."""
+    verified leaf, which the candidate rules make an accepted one."""
 
     candidates: int = 0
     chain_prunes: int = 0
     orbit_prunes: int = 0
-    shape_prunes: int = 0
     leaves_verified: int = 0
     singleton_prunes: int = 0
     reach_prunes: int = 0
@@ -276,15 +270,15 @@ class _Budget(Exception):
 def _space(m: int, force: bool):
     """(pool, tables, bottom, top) on m atoms: the candidates in canonical
     order as (packed key, atom mask, group (H flag, atom count), cover, up),
-    cover being the table of the atom subsets the candidate covers in its
-    layer and up the up-closure of its point on the (m+1)-bit lattice with
-    H as bit m; the image tables without the identity (which never sorts
-    lower), and the packed keys of the forced bottom and top."""
+    cover being lattice.cover of the candidate alone, a small or a large by
+    its H flag, and up the points that contain its point on the (m+1)-bit
+    lattice with H as bit m; the image tables without the identity (which
+    never sorts lower), and the packed keys of the forced bottom and top."""
     forced = [0, H_BIT | (1 << m) - 1] if force else []
     ordered = sorted(((has_h, mask.bit_count()), mask)
                      for has_h in (False, True) for mask in range(1 << m))
-    pool = [(key, mask, kind, closure(pack([mask], m), m, upward=not kind[0]),
-             closure(pack([mask | kind[0] << m], m + 1), m + 1, upward=True))
+    pool = [(key, mask, kind, cover((), [mask], m) if kind[0] else cover([mask], (), m),
+             cover([mask | kind[0] << m], (), m + 1))
             for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
     return pool, _image_tables(m)[1:], forced[:1], forced[1:]
 
@@ -314,11 +308,11 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
     space = cache(partial(_space, force=force))
 
     def dfs(start, live, group, fixing, group_kind, singletons, large2, height, holes):
-        # Extends keys, cover and above (every member but the forced top)
+        # Extends keys, covers and above (every member but the forced top)
         # from pool[start:]; live, group, group_kind and fixing (live's
         # tables that fix group) are the orbit check's state, singletons and
         # large2 _candidate_rejection's, height the chosen members' largest
-        # depth and holes the number of cover[:height] entries that are not full.
+        # depth and holes the number of covers[:height] entries that are not full.
         # Returns the keys of the first accepted leaf, or None.
         nonlocal nodes
         nodes += 1
@@ -326,7 +320,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             raise _Budget()
         if len(keys) == need:
             tally["leaves_verified"] += 1
-            return _accepted(m, keys + top, cover[:height] + [full] * len(top), k)
+            return _accepted(m, keys + top, covers[:height] + [full] * len(top), k)
         after = need - len(keys) - 1  # members still to append after a candidate
         for idx in range(start, len(pool) + len(keys) - need + 1):
             key, mask, kind, covered, up = pool[idx]
@@ -334,7 +328,7 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
             point, depth = mask | kind[0] << m, 1
             while above[depth - 1] >> point & 1:  # above[height] is empty
                 depth += 1
-            held, held_above = cover[depth - 1], above[depth - 1]  # 0, 0 at depth height + 1
+            held, held_above = covers[depth - 1], above[depth - 1]  # 0, 0 at depth height + 1
             next_holes = holes - (depth <= height and held != full) + (held | covered != full)
             reason = _candidate_rejection(kind, depth, max(height, depth) + after - next_holes,
                                           singletons, large2, k, shaped, depth_limit)
@@ -351,11 +345,11 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 tally["orbit_prunes"] += 1
                 continue
             keys.append(key)
-            cover[depth - 1], above[depth - 1] = held | covered, held_above | up
+            covers[depth - 1], above[depth - 1] = held | covered, held_above | up
             found = dfs(idx + 1, next_live, next_group, next_fixing, kind, singletons + (kind == (False, 1)),
                         large2 or (kind[0] and depth == 2), max(height, depth), next_holes)
             keys.pop()
-            cover[depth - 1], above[depth - 1] = held, held_above
+            covers[depth - 1], above[depth - 1] = held, held_above
             if found is not None:
                 return found
         return None
@@ -371,9 +365,9 @@ def search_min(bounds: SearchBounds, *, forcing: bool = True) -> SearchResult:
                 need = size - len(top)
                 full = (1 << (1 << m)) - 1  # every atom subset, what the forced bottom and top cover
                 keys = list(bottom)
-                # cover[i]: the subsets covered by the chosen members of depth i+1;
+                # covers[i]: the subsets covered by the chosen members of depth i+1;
                 # above[i]: the points that contain one of them
-                cover = [full] * len(bottom) + [0] * need
+                covers = [full] * len(bottom) + [0] * need
                 above = [(1 << (2 << m)) - 1] * len(bottom) + [0] * need
                 found = dfs(0, tables, [], tables, None, 0, False, len(bottom), 0)
                 if found is not None:

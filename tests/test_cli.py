@@ -367,7 +367,7 @@ def test_search_stats_go_to_stderr_after_the_output(tmp_path, capsys):
     assert run(capsys, *argv) == (0, _FOUND_3, "")
     assert run(capsys, *argv, "--stats") == (0, _FOUND_3, (
         "candidates: 2\nchain_prunes: 0\norbit_prunes: 0\n"
-        "shape_prunes: 0\nleaves_verified: 1\nsingleton_prunes: 0\nreach_prunes: 0\n"
+        "leaves_verified: 1\nsingleton_prunes: 0\nreach_prunes: 0\n"
         "layer1_prunes: 0\n"))
 
 
@@ -377,7 +377,7 @@ def test_search_stats_on_an_exhausted_budget(capsys):
     assert (code, err) == (4, "")
     assert run(capsys, *argv, "--stats") == (4, out, (
         "candidates: 338\nchain_prunes: 0\norbit_prunes: 44\n"
-        "shape_prunes: 0\nleaves_verified: 0\nsingleton_prunes: 3\nreach_prunes: 242\n"
+        "leaves_verified: 0\nsingleton_prunes: 3\nreach_prunes: 242\n"
         "layer1_prunes: 0\n"))
 
 
@@ -388,7 +388,7 @@ def test_search_stats_on_an_exhausted_box(capsys):
         "outcome: NONE_WITHIN_BOUNDS (nodes expanded: 196)\n"
         "exhaustive for k=5, atoms<=4, size<=10, structural forcing on\n"), (
         "candidates: 1423\nchain_prunes: 23\norbit_prunes: 124\n"
-        "shape_prunes: 0\nleaves_verified: 0\nsingleton_prunes: 6\nreach_prunes: 1076\n"
+        "leaves_verified: 0\nsingleton_prunes: 6\nreach_prunes: 1076\n"
         "layer1_prunes: 0\n"))
 
 

@@ -244,7 +244,7 @@ def test_member_depths_refuses_too_many_atoms_before_building_a_table(monkeypatc
     def no_table(points, m):
         raise AssertionError(f"a {m}-bit table was requested")
 
-    monkeypatch.setattr(family_mod, "pack", no_table)
+    monkeypatch.setattr(family_mod, "depths", no_table)
     # one singleton per atom: 29 atoms are refused, whatever the atoms' positions
     wide = [Member(1 << (2 * i), i % 2 == 0) for i in range(SCAN_MAX_ATOMS + 1)]
     wide_keys = list(map(packed_key, wide))

@@ -3,17 +3,17 @@ bit-table closure against direct definitions, the oracle's level peeling against
 longest-chain definition, the oracle against the direct definition of a
 saturated k-Sperner system, and the guards on what the layer verifier
 reaches: nothing of the brute-force oracle, and no pair scan on its own
-layers."""
+layers; and the one home of each lattice rule."""
 
 from functools import cache
 from itertools import islice
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spernersat import saturation
-from spernersat import Family, Member
+from spernersat import family, saturation, search
+from spernersat import Family, Member, member_depths, search_min
 from spernersat.lattice import INT_BITS, closure, first_hole, pack
 from spernersat.saturation import (
     ConcreteFamily,
@@ -144,6 +144,12 @@ def _layers(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_layers())
+# each side of the cover empty in turn, and both, in the int form and the word form
+@example(Family(3, (Member(0b001, False), Member(0b110, False))))
+@example(Family(3, (Member(0b011, True), Member(0b100, True))))
+@example(Family(INT_BITS + 1, (Member(0b1010, False), Member(1 << INT_BITS, False))))
+@example(Family(INT_BITS + 1, (Member(0b111, True), Member((1 << INT_BITS) - 2, True))))
+@example(Family(INT_BITS + 1, ()))
 def test_first_uncovered_matches_definition(layer):
     smalls = [mem.atom_mask for mem in layer.members if not mem.has_H]
     larges = [mem.atom_mask for mem in layer.members if mem.has_H]
@@ -246,3 +252,14 @@ def test_verifier_does_not_reprove_its_layers_are_antichains():
     assert "spernersat.family.is_antichain" not in verifier
     assert "spernersat.family.first_contained_pair" not in verifier
     assert "spernersat.saturation._first_uncovered" in verifier
+
+
+def test_each_lattice_rule_has_one_home():
+    """The verifier and the search read the coverage rule, and the depth
+    pass the level peel, from lattice; no other module holds the closure
+    kernel or the table packer."""
+    for func in (saturation.verify_saturated_k_sperner, search_min):
+        assert "spernersat.lattice.cover" in reachable(func)
+    assert "spernersat.lattice.depths" in reachable(member_depths)
+    for module in (family, saturation, search):
+        assert not {"closure", "pack"} & vars(module).keys(), module.__name__

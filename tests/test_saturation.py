@@ -40,6 +40,7 @@ from helpers import (
     random_family,
     random_saturated_antichain,
 )
+from spernersat.lattice import INT_BITS
 from spernersat.saturation import _first_uncovered
 
 
@@ -80,6 +81,12 @@ def _small_layers(draw):
 @settings(max_examples=300, deadline=None)
 @given(_small_layers())
 @example(Family(2, ()))
+# each side of the cover empty in turn, and both, in the int form and the word form
+@example(Family(3, (Member(0b001, False), Member(0b110, False))))
+@example(Family(3, (Member(0b011, True), Member(0b100, True))))
+@example(Family(INT_BITS + 1, (Member(0b1010, False), Member(1 << INT_BITS, False))))
+@example(Family(INT_BITS + 1, (Member(0b111, True), Member((1 << INT_BITS) - 2, True))))
+@example(Family(INT_BITS + 1, ()))
 def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
     smalls = [mem.atom_mask for mem in layer.members if not mem.has_H]
     larges = [mem.atom_mask for mem in layer.members if mem.has_H]

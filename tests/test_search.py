@@ -163,7 +163,7 @@ def test_five_atoms_hold_no_degree_five_system_of_size_twelve():
     5-Sperner system of at most 12 members lives on at most 5 atoms."""
     result = search_min(SearchBounds(k=5, max_atoms=5, max_size=12))
     assert (result.outcome, result.family, result.nodes) == (NONE_WITHIN_BOUNDS, None, 67323)
-    assert result.counts == SearchCounts(692143, 70081, 18264, 0, 0, 27, 536337, 120)
+    assert result.counts == SearchCounts(692143, 70081, 18264, 0, 27, 536337, 120)
     cert = result.certificate
     assert (cert.k, cert.max_atoms, cert.max_size, cert.forced) == (5, 5, 12, True)
 
@@ -379,14 +379,14 @@ def _roots(bounds, forcing, found=None):
     return roots
 
 
-# candidates, chain, orbit, layer-count and shape prunes, leaves verified,
-# singleton, reach and layer-1 prunes
+# candidates, chain and orbit prunes, leaves verified, singleton, reach and
+# layer-1 prunes
 _PINNED_COUNTS = {
-    (4, 4, 8, True): SearchCounts(358, 49, 24, 0, 1, 5, 224, 1),
-    (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0, 0),
-    (5, 3, 15, True): SearchCounts(624, 0, 98, 0, 0, 15, 233, 0),
-    (3, 3, 8, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
-    (3, 4, 6, False): SearchCounts(4, 0, 0, 0, 1, 0, 0, 0),
+    (4, 4, 8, True): SearchCounts(358, 49, 24, 1, 5, 224, 1),
+    (6, 3, 20, True): SearchCounts(0, 0, 0, 0, 0, 0, 0),
+    (5, 3, 15, True): SearchCounts(624, 0, 98, 0, 15, 233, 0),
+    (3, 3, 8, False): SearchCounts(4, 0, 0, 1, 0, 0, 0),
+    (3, 4, 6, False): SearchCounts(4, 0, 0, 1, 0, 0, 0),
 }
 
 
@@ -420,7 +420,7 @@ def test_free_search_expands_the_pinned_tree():
     result = search_min(bounds, forcing=False)
     assert (result.outcome, result.nodes, result.family.size) == (FOUND, 243, 8)
     c = result.counts
-    assert c == SearchCounts(864, 0, 85, 0, 1, 0, 541, 0)
+    assert c == SearchCounts(864, 0, 85, 1, 0, 541, 0)
     assert result.nodes == _roots(bounds, False, result.family) + c.candidates - _candidate_prunes(c)
 
 
@@ -441,10 +441,9 @@ def _floors(k, forcing):
 @pytest.mark.parametrize("k, max_atoms, max_size, forcing",
                          [*_PINNED_TREES, (4, 3, 8, False), (5, 4, 10, True)])
 def test_every_reached_leaf_is_accepted(k, max_atoms, max_size, forcing):
-    """The candidate rules leave no leaf that is turned down: none for its
-    shape, and only the found family's leaf reaches _accepted."""
+    """The candidate rules leave no leaf that is turned down: only the found
+    family's leaf reaches _accepted."""
     result = search_min(SearchBounds(k=k, max_atoms=max_atoms, max_size=max_size), forcing=forcing)
-    assert result.counts.shape_prunes == 0
     assert result.counts.leaves_verified == (result.outcome == FOUND)
 
 
@@ -505,8 +504,8 @@ def test_search_counts_account_for_every_candidate(monkeypatch):
     assert result.nodes == 59
     c = result.counts
     assert c == SearchCounts(candidates=358, chain_prunes=49, orbit_prunes=24,
-                             shape_prunes=0, leaves_verified=1, singleton_prunes=5,
-                             reach_prunes=224, layer1_prunes=1)
+                             leaves_verified=1, singleton_prunes=5, reach_prunes=224,
+                             layer1_prunes=1)
     # every candidate tried is a node or exactly one prune
     assert result.nodes == _roots(bounds, True, result.family) + c.candidates - _candidate_prunes(c)
     # every verified leaf goes to the verifier once
