@@ -242,15 +242,6 @@ def member_depths(keys) -> np.ndarray:
     return depths(*_lattice_keys(keys))
 
 
-def _depth_layers(keys, key_depths) -> list[list[int]]:
-    """The keys grouped by depth, in their given order: layer i holds the
-    keys of depth i+1, and there are as many layers as the largest depth."""
-    layers = [[] for _ in range(max(key_depths, default=0))]
-    for key, d in zip(keys, key_depths):
-        layers[d - 1].append(key)
-    return layers
-
-
 def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     """Peel minimal members into layers: layer i collects the members whose
     longest chain from below has exactly i+1 members, so there are as many
@@ -258,7 +249,10 @@ def canonical_decomposition(f: Family) -> tuple[Family, ...]:
     f's universe, pairwise disjoint, cover the family, and every member of
     layer i (i >= 1) properly contains a member of layer i-1.  An empty
     family has no layers."""
-    layers = _depth_layers(f.keys, member_depths(f.keys).tolist())
+    key_depths = member_depths(f.keys).tolist()
+    layers = [[] for _ in range(max(key_depths, default=0))]
+    for key, d in zip(f.keys, key_depths):
+        layers[d - 1].append(key)
     return tuple(Family.from_keys(f.m, layer) for layer in layers)
 
 

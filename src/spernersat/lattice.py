@@ -1,14 +1,20 @@
 """Bit-packed subset lattices: the verifier's one closure kernel, and the
 two rules the package reads through it.
 
+- peel(points, m): the levels of a point table, level 1 every point and
+  level d+1 the points of level d that its strict up-closure holds, one
+  at a time.  Level d less level d+1 is the points of depth d, those
+  whose longest chain of given points ending at them has d points:
+  depths(points, m) reads each point's depth from the peel, and the
+  verifier reads each layer straight off two consecutive levels.
 - cover(smalls, larges, m): the points that contain a small or lie inside
-  a large, the up-closure of the smalls OR the down-closure of the larges.
-  A layer is saturated when its cover holds every point (first_hole finds
-  none), and cover distributes over union, so a layer's table is the OR of
-  its members' own.
-- depths(points, m): each point's depth, the number of given points on the
-  longest chain of them ending at it, by peeling levels: level 1 is every
-  point, level d+1 the points of level d that its strict up-closure holds.
+  a large, the up-closure of the smalls table OR the down-closure of the
+  larges table.  A layer over m atoms is a table over m+1 bits with H as
+  bit m; halves splits it into its smalls table (the points without H)
+  and its larges table.  A layer is saturated when its cover holds every
+  point (first_hole finds none).  cover distributes over union, so a
+  layer's cover is the OR of its members' own: the search ORs those that
+  cover_of makes from each member's point list.
 
 The subsets of m bits form a table of 2^m points, point T standing for the
 subset with mask T.  A table of at most 2^INT_BITS points is one Python
@@ -27,17 +33,18 @@ from functools import cache
 
 import numpy as np
 
-# The one limit on exhaustive lattice work: the verifier's depth pass, its
+# The one limit on exhaustive lattice work: the verifier's level peel, its
 # 2^m saturation scans and is_saturated_antichain refuse more atoms than
-# this.  At 28 atoms a packed table is 2^28 bits = 32 MiB, and the depth
-# pass, whose keys carry H as one more bit, holds four 64 MiB tables at once.
+# this.  At 28 atoms a packed table is 2^28 bits = 32 MiB, and the peel,
+# whose points carry H as one more bit, holds four 64 MiB tables at once.
 SCAN_MAX_ATOMS = 28
 
 # Tables of at most 2^INT_BITS points are one Python int.  With the limit
 # swept over 6..17 on one pinned CPU of a 2-vCPU host, verifying 300 random
 # families over at most 8 atoms took 35 ms at 6 and 15-16 ms from 10 on;
 # the bootstrapped(7..14) verifies stayed level up to 14, and at 17 their
-# depth pass took 2.5-3 times as long.
+# depth pass took 2.5-3 times as long.  depths counts the levels of an int
+# table in 4 bits per point, so INT_BITS + 1 levels must stay below 16.
 INT_BITS = 12
 
 # a word holds the 2^6 points that differ in bits 0..5; its masks are
@@ -116,36 +123,70 @@ def closure(table, m: int, upward: bool, strict: bool = False):
     return proper if strict else table
 
 
+def count(table) -> int:
+    """The number of points the table holds."""
+    return table.bit_count() if isinstance(table, int) else int(np.bitwise_count(table).sum())
+
+
+def halves(table, m: int):
+    """(low, high): a table over m+1 bits as two tables over m bits, the
+    points without bit m and those with it, bit m cleared.  Word halves are
+    views of the table."""
+    if m == INT_BITS:  # a word table whose halves are ints
+        table = int.from_bytes(table.astype("<u8", copy=False).tobytes(), "little")
+    if isinstance(table, int):
+        return table & ((1 << (1 << m)) - 1), table >> (1 << m)
+    return table.reshape(2, -1)
+
+
 def cover(smalls, larges, m: int):
-    """The table over m bits holding the points that contain a point of
-    smalls or lie inside one of larges; an empty side builds no table."""
-    if not smalls:
-        return closure(pack(larges, m), m, upward=False) if larges else pack((), m)
-    table = closure(pack(smalls, m), m, upward=True)
-    if larges:
+    """The table over m bits holding the points that contain a point of the
+    smalls table or lie inside one of the larges table: the up-closure of
+    smalls OR the down-closure of larges.  An empty side is not closed."""
+    words = m > INT_BITS
+    if not (smalls.any() if words else smalls):
+        return closure(larges, m, upward=False)
+    table = closure(smalls, m, upward=True)
+    if larges.any() if words else larges:
         # in place on word tables: no third 2^m-bit table at once
-        table |= closure(pack(larges, m), m, upward=False)
+        table |= closure(larges, m, upward=False)
     return table
+
+
+def cover_of(smalls, larges, m: int):
+    """cover of the tables over m bits holding the given points."""
+    return cover(pack(smalls, m), pack(larges, m), m)
+
+
+def peel(points, m: int):
+    """The nonempty levels of the given points' table over m bits, each a
+    new table: level 1 holds every point, level d+1 the points of level d
+    that its strict up-closure holds.  So level d holds the points with a
+    chain of d points ending at them, and level d less level d+1 is the
+    points whose longest such chain has d points.  The generator holds one
+    level between steps."""
+    level = pack(points, m)
+    del points  # not held while the levels are peeled
+    while level if m <= INT_BITS else level.any():
+        yield level
+        level = level & closure(level, m, upward=True, strict=True)
 
 
 def depths(points, m: int) -> np.ndarray:
     """depth[i]: the number of points on the longest chain of the given
     points, by bit inclusion, ending at points[i].  The points are
     duplicate-free ints when the table is one int (m <= INT_BITS), else an
-    int64 array.  A point's depth is the number of peeled levels it is in."""
-    level = pack(points, m)
+    int64 array.  A point's depth is the number of levels of peel it is in."""
     if m <= INT_BITS:
-        depth = [0] * len(points)
-        while level:
-            held = level.to_bytes(((1 << m) + 7) >> 3, "little")
-            depth = [d + (held[p >> 3] >> (p & 7) & 1) for d, p in zip(depth, points)]
-            level &= closure(level, m, upward=True, strict=True)
-        return np.array(depth, dtype=np.int64)
-    depth = np.zeros(len(points), dtype=np.int64)
-    while (held := level[points >> WORD_BITS] >> (points & 63).astype(np.uint64) & 1).any():
-        depth += held.astype(np.int64)
-        level &= closure(level, m, upward=True, strict=True)
-    return depth
+        # read as hex, a level's binary digits put point T in nibble T, so
+        # the sum counts, per point, the levels that hold it: at most m+1,
+        # below 16; each point is then read once from the sum's bytes
+        total = sum(int(bin(level)[2:], 16) for level in peel(points, m))
+        held = total.to_bytes(((1 << m) + 1) >> 1, "little")
+        return np.array([held[p >> 1] >> ((p & 1) << 2) & 15 for p in points], dtype=np.int64)
+    index, shift = points >> WORD_BITS, (points & 63).astype(np.uint64)
+    return sum(((level[index] >> shift & 1).astype(np.int64) for level in peel(points, m)),
+               np.zeros(len(points), dtype=np.int64))
 
 
 def first_hole(table, m: int) -> int | None:

@@ -5,8 +5,12 @@ atom universe contains some small member or fits inside some large one.
 Checking all 2^m subsets is exact: a candidate set meeting only part of H
 compares to smalls and larges exactly as its atom part does.  A system is
 a saturated k-Sperner family precisely when its canonical decomposition
-has exactly k layers and each layer passes this test; the verifier scans
-the atom masks of each depth's members.
+has exactly k layers and each layer passes this test.  The verifier packs
+the members once onto the (m+1)-bit lattice, H as bit m, and peels its
+levels; layer d is level d less level d+1, read straight off the tables:
+its low half (the points without H) is its smalls table, its high half
+its larges table, its sizes are their popcounts and its witness is the
+first hole of their cover.  Only two consecutive levels are held at once.
 Every report that is a JSON document of its own gets to_json_dict from one
 base class.
 
@@ -33,22 +37,14 @@ from .family import (
     CapacityError,
     Family,
     Member,
-    _depth_layers,
     _parse_members,
     _written,
     atoms_of_mask,
-    member_depths,
 )
-from .lattice import SCAN_MAX_ATOMS, cover, first_hole
+from .lattice import SCAN_MAX_ATOMS, count, cover, first_hole, halves, peel
 
 # 2^n oracle tables stay tractable up to here.
 ORACLE_MAX_GROUND = 24
-
-
-def _first_uncovered(m: int, smalls: list[int], larges: list[int]) -> int | None:
-    """Mask of the first atom subset of m atoms, in canonical order, that
-    contains no mask of smalls and fits inside no mask of larges, or None."""
-    return first_hole(cover(smalls, larges, m), m)
 
 
 WRONG_LAYER_COUNT = "WRONG_LAYER_COUNT"
@@ -127,6 +123,17 @@ class VerificationReport(_JsonDocument):
     reasons: tuple[Reason, ...]
 
 
+def _layer_report(index: int, layer, m: int) -> LayerReport:
+    """The report on one layer from its table over m+1 bits, H as bit m.
+    Its points have equal depth, so none properly contains another: no
+    antichain check."""
+    smalls, larges = halves(layer, m)
+    small, large = count(smalls), count(larges)
+    witness = first_hole(cover(smalls, larges, m), m)
+    return LayerReport(index=index, size=small + large, small=small, large=large,
+                       antichain=True, saturated=witness is None, witness_mask=witness)
+
+
 def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
     """Verdict is true iff the canonical decomposition has exactly k layers
     and every layer is a saturated antichain.  An empty family has no
@@ -135,29 +142,19 @@ def verify_saturated_k_sperner(f: Family, k: int) -> VerificationReport:
         raise ValueError("k must be >= 1")
     if f.m > SCAN_MAX_ATOMS:
         raise CapacityError(f"universe of size {f.m} is too large for the exhaustive scan")
-    layers = _depth_layers(f.keys, member_depths(f.keys).tolist())
-    layer_reports = []
-    reasons = []
-    for index, layer in enumerate(layers):
-        smalls = [key for key in layer if key < H_BIT]
-        larges = [key ^ H_BIT for key in layer if key >= H_BIT]
-        # Members of equal depth cannot properly contain one another: no antichain check.
-        witness = _first_uncovered(f.m, smalls, larges)
-        layer_reports.append(LayerReport(
-            index=index,
-            size=len(layer),
-            small=len(smalls),
-            large=len(larges),
-            antichain=True,
-            saturated=witness is None,
-            witness_mask=witness,
-        ))
-        if witness is not None:
-            reasons.append(Reason(LAYER_NOT_SATURATED, layer=index, witness_mask=witness))
+    levels = peel([key & ~H_BIT | (key >= H_BIT) << f.m for key in f.keys], f.m + 1)
+    # layer d is level d less level d+1; level d is dropped before level
+    # d+2 is peeled, so at most two levels are held at once
+    layers, above = [], next(levels, None)
+    while (level := above) is not None:
+        if (above := next(levels, None)) is not None:
+            level &= ~above
+        layers.append(_layer_report(len(layers), level, f.m))
+    reasons = [Reason(LAYER_NOT_SATURATED, r.index, r.witness_mask) for r in layers if not r.saturated]
     if len(layers) != k:
         reasons.insert(0, Reason(WRONG_LAYER_COUNT))
     return VerificationReport(verdict=not reasons, k=k, layer_count=len(layers),
-                              layers=tuple(layer_reports), reasons=tuple(reasons))
+                              layers=tuple(layers), reasons=tuple(reasons))
 
 
 def is_saturated_antichain(layer: Family) -> tuple[bool, int | None]:

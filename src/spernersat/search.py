@@ -110,7 +110,7 @@ import numpy as np
 
 # member_depths is not called here; perfbench/test_smoke.py reads the binding.
 from .family import H_BIT, CapacityError, Family, member_depths  # noqa: F401
-from .lattice import cover
+from .lattice import cover_of
 from .saturation import verify_saturated_k_sperner
 
 FOUND = "FOUND"
@@ -277,8 +277,8 @@ def _space(m: int, force: bool):
     forced = [0, H_BIT | (1 << m) - 1] if force else []
     ordered = sorted(((has_h, mask.bit_count()), mask)
                      for has_h in (False, True) for mask in range(1 << m))
-    pool = [(key, mask, kind, cover((), [mask], m) if kind[0] else cover([mask], (), m),
-             cover([mask | kind[0] << m], (), m + 1))
+    pool = [(key, mask, kind, cover_of((), [mask], m) if kind[0] else cover_of([mask], (), m),
+             cover_of([mask | kind[0] << m], (), m + 1))
             for kind, mask in ordered if (key := H_BIT * kind[0] | mask) not in forced]
     return pool, _image_tables(m)[1:], forced[:1], forced[1:]
 

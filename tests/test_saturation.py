@@ -18,7 +18,10 @@ from spernersat import (
     CapacityError,
     ConcreteFamily,
     Family,
+    LayerReport,
     Member,
+    Reason,
+    VerificationReport,
     bootstrapped,
     brute_force_saturated,
     canonical_decomposition,
@@ -40,8 +43,7 @@ from helpers import (
     random_family,
     random_saturated_antichain,
 )
-from spernersat.lattice import INT_BITS
-from spernersat.saturation import _first_uncovered
+from spernersat.lattice import INT_BITS, cover, first_hole, pack
 
 
 # ------------------------------------------------- saturated antichains
@@ -95,7 +97,7 @@ def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
         return any(s & ~t == 0 for s in smalls) or any(t & ~l == 0 for l in larges)
     holes = [t for t in range(1 << layer.m) if not covered(t)]
     first = min(holes, key=lambda t: (t.bit_count(), t), default=None)
-    assert _first_uncovered(layer.m, smalls, larges) == first
+    assert first_hole(cover(pack(smalls, layer.m), pack(larges, layer.m), layer.m), layer.m) == first
 
     # is_saturated_antichain against the definition: the empty family gets
     # (False, 0), since nothing covers the empty set
@@ -110,7 +112,7 @@ def test_first_uncovered_is_the_first_hole_by_atom_count_then_value(layer):
 
 def test_first_uncovered_on_a_wide_universe():
     # every subset but the full one is a hole; the first is the empty set
-    assert _first_uncovered(22, [(1 << 22) - 1], []) == 0
+    assert first_hole(cover(pack([(1 << 22) - 1], 22), pack([], 22), 22), 22) == 0
 
 
 def test_saturated_antichain_rejects_non_antichain():
@@ -200,10 +202,10 @@ def test_verify_gives_empty_family_a_false_verdict_and_accepts_any_k():
 def test_verify_refuses_large_universe_before_decomposing(monkeypatch):
     import spernersat.saturation as saturation_mod
 
-    def no_depths(members):
-        raise AssertionError("the depth pass ran before the size check")
+    def no_peel(points, m):
+        raise AssertionError("the level peel ran before the size check")
 
-    monkeypatch.setattr(saturation_mod, "member_depths", no_depths)
+    monkeypatch.setattr(saturation_mod, "peel", no_peel)
     big = Family(29, (Member(0, False), Member((1 << 29) - 1, True)))
     with pytest.raises(ValueError, match="universe of size 29 is too large for the exhaustive scan"):
         verify_saturated_k_sperner(big, 2)
@@ -216,6 +218,67 @@ def test_verify_report_json_shape():
     assert d["k"] == 3 and d["layer_count"] == 3
     assert [layer["size"] for layer in d["layers"]] == [1, 2, 1]
     assert d["reasons"] == []
+
+
+def _reference_report(f: Family, k: int) -> VerificationReport:
+    """The report from canonical_decomposition, each layer's witness found
+    by trying all 2^m atom subsets in canonical order."""
+    layers, reasons = [], []
+    for index, layer in enumerate(canonical_decomposition(f)):
+        smalls = [mem.atom_mask for mem in layer.members if not mem.has_H]
+        larges = [mem.atom_mask for mem in layer.members if mem.has_H]
+        witness = next((t for t in sorted(range(1 << f.m), key=lambda t: (t.bit_count(), t))
+                        if not any(s & ~t == 0 for s in smalls)
+                        and not any(t & ~l == 0 for l in larges)), None)
+        layers.append(LayerReport(index, layer.size, len(smalls), len(larges), True,
+                                  witness is None, witness))
+        if witness is not None:
+            reasons.append(Reason(LAYER_NOT_SATURATED, index, witness))
+    if len(layers) != k:
+        reasons.insert(0, Reason(WRONG_LAYER_COUNT))
+    return VerificationReport(not reasons, k, len(layers), tuple(layers), tuple(reasons))
+
+
+@st.composite
+def _report_families(draw):
+    # any members over m <= 9 atoms: unused atoms, one layer and no member at all included
+    m = draw(st.integers(0, 9))
+    members = draw(st.sets(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()), max_size=14))
+    return Family(m, tuple(Member(mask, has_h) for mask, has_h in members))
+
+
+def _chain_over(m: int, *masks: int) -> Family:
+    # the empty set, the small of each mask, and every atom with H on top
+    return Family(m, (Member(0, False), *(Member(mask, False) for mask in masks),
+                      Member((1 << m) - 1, True)))
+
+
+def _split_at_top(m: int) -> Family:
+    # the small of atom m and the large of every other atom: one saturated
+    # layer, whose smalls and larges cover what the other side leaves
+    top = 1 << (m - 1)
+    return Family(m, (Member(top, False), Member(((1 << m) - 1) ^ top, True)))
+
+
+# the layer tables span m+1 bits and their halves m: at m = INT_BITS the
+# layer is in word form and its halves ints, on either side both are alike
+@settings(max_examples=300, deadline=None)
+@given(_report_families(), st.integers(1, 5))
+@example(Family(0, ()), 1)
+@example(Family(4, ()), 2)
+@example(Family(3, (Member(0b011, False), Member(0b101, False), Member(0b110, True))), 1)
+@example(Family(5, (Member(0b00001, False), Member(0b00011, True))), 2)
+@example(_chain_over(INT_BITS - 1), 2)
+@example(_chain_over(INT_BITS - 1, 1 << (INT_BITS - 2)), 3)
+@example(_split_at_top(INT_BITS - 1), 1)
+@example(_chain_over(INT_BITS), 2)
+@example(_chain_over(INT_BITS, 1 << (INT_BITS - 1)), 3)
+@example(_split_at_top(INT_BITS), 1)
+@example(_chain_over(INT_BITS + 1), 2)
+@example(_chain_over(INT_BITS + 1, 1 << INT_BITS), 3)
+@example(_split_at_top(INT_BITS + 1), 1)
+def test_verification_report_matches_the_decomposition_and_brute_force_coverage(f, k):
+    assert verify_saturated_k_sperner(f, k) == _reference_report(f, k)
 
 
 def test_single_member_removal_breaks_saturation():
